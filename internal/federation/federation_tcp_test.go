@@ -23,7 +23,10 @@ type shardFarm struct {
 	wg    sync.WaitGroup
 }
 
-func newShardFarm(t *testing.T, n int) *shardFarm {
+// newShardFarm starts n shard servers. When observers are given, shard i
+// serves with observers[i] — one observer for all its sessions, so only
+// runs without a rejoin should pass them.
+func newShardFarm(t *testing.T, n int, observers ...*obs.Observer) *shardFarm {
 	t.Helper()
 	farm := &shardFarm{addrs: make([]string, n), conns: make([]net.Conn, n)}
 	for i := 0; i < n; i++ {
@@ -47,10 +50,14 @@ func newShardFarm(t *testing.T, n int) *shardFarm {
 				// Serve each session in its own goroutine: a rejoin dial after
 				// a kill models a restarted shard process, whose listener is
 				// not gated on the dead process finishing its shutdown.
+				var opt ServeShardOptions
+				if observers != nil {
+					opt.Obs = observers[i]
+				}
 				farm.wg.Add(1)
 				go func() {
 					defer farm.wg.Done()
-					_ = ServeShard(c, ServeShardOptions{})
+					_ = ServeShard(c, opt)
 				}()
 			}
 		}(i)
@@ -71,7 +78,8 @@ func (farm *shardFarm) kill(i int) {
 // TestFederationLiveTCPTwoShards is the out-of-process differential of
 // TestFederationLiveTwoShards: the same workload routed to two shard
 // servers over the wire protocol must settle every task, reconcile the
-// federation books, and keep the merged lifecycle journal span-complete.
+// federation books, ship each shard's journal to the router losslessly,
+// and keep the merged lifecycle journal span-complete.
 func TestFederationLiveTCPTwoShards(t *testing.T) {
 	p := workload.DefaultParams(4)
 	p.NumTransactions = 48
@@ -79,7 +87,8 @@ func TestFederationLiveTCPTwoShards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	farm := newShardFarm(t, 2)
+	observers := []*obs.Observer{obs.New(4096), obs.New(4096)}
+	farm := newShardFarm(t, 2, observers...)
 	f, err := New(Config{
 		Workload:   w,
 		Topology:   Topology{Shards: 2, WorkersPerShard: 2},
@@ -122,6 +131,29 @@ func TestFederationLiveTCPTwoShards(t *testing.T) {
 		} {
 			if got := snap[name]; got != int64(want) {
 				t.Errorf("shard %d wire counters %s = %d, result says %d", i, name, got, want)
+			}
+		}
+	}
+	// Each journal the router received is the shard's own, entry by entry:
+	// the Journal frame loses nothing, and no session death cut it off. A
+	// shard records nothing after it exports, so its journal is final.
+	for i, o := range observers {
+		want, wantEvicted := o.Journal().Export()
+		got, gotEvicted := f.handles[i].(*remoteShard).Journal()
+		if gotEvicted != wantEvicted {
+			t.Errorf("shard %d: router got evicted=%d, shard exported %d", i, gotEvicted, wantEvicted)
+		}
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("shard %d: router got %d journal entries, shard exported %d", i, len(got), len(want))
+		}
+		for k := range want {
+			g, e := got[k], want[k]
+			if !g.Wall.Equal(e.Wall) {
+				t.Fatalf("shard %d entry %d: Wall %v, shard has %v", i, k, g.Wall, e.Wall)
+			}
+			g.Wall, e.Wall = time.Time{}, time.Time{}
+			if g != e {
+				t.Fatalf("shard %d entry %d: router got %+v, shard has %+v", i, k, g, e)
 			}
 		}
 	}

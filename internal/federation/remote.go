@@ -398,6 +398,15 @@ func (s *remoteShard) recover(sess *session, err error) {
 	s.sess = nil
 	s.deadErr = err
 	s.summary.Alive = 0
+	if s.res != nil {
+		// The session delivered its Result and broke before its Bye
+		// (typically mid-journal). The Result already settles every task
+		// the session was fed: folding its checkpoint books on top would
+		// count the shard twice, so close the handle as finished.
+		s.mu.Unlock()
+		s.finish(sess)
+		return
+	}
 	s.deaths = append(s.deaths, time.Now())
 	rejoins := s.rejoins
 	s.mu.Unlock()
@@ -441,7 +450,8 @@ func (s *remoteShard) shutdown() {
 	s.doneOnce.Do(func() { close(s.done) })
 }
 
-// finish records a clean end of session (result and journal received).
+// finish records the end of a session that delivered its Result: after
+// its Bye, or after a death that cut the journal off.
 func (s *remoteShard) finish(sess *session) {
 	sess.once.Do(func() {
 		sess.conn.Close()
@@ -505,16 +515,20 @@ func (s *remoteShard) readLoop(sess *session) {
 				return
 			}
 			s.mu.Lock()
-			s.res = &res
+			if s.sess == sess {
+				// A session a write-side failure already recovered has had
+				// its books folded; its Result would count them twice.
+				s.res = &res
+			}
 			s.mu.Unlock()
 		case wire.TypeJournal:
-			var j wire.JournalExport
-			if err := json.Unmarshal(body, &j); err != nil {
+			entries, evicted, err := wire.DecodeJournal(body)
+			if err != nil {
 				s.sessionLost(sess, fmt.Errorf("federation: shard %d journal: %w", s.id, err))
 				return
 			}
 			s.mu.Lock()
-			s.journal, s.evicted = j.Entries, j.Evicted
+			s.journal, s.evicted = entries, evicted
 			s.mu.Unlock()
 		case wire.TypeError:
 			s.sessionLost(sess, fmt.Errorf("federation: shard %d reported: %s", s.id, body))
@@ -530,7 +544,11 @@ func (s *remoteShard) readLoop(sess *session) {
 }
 
 // heartbeatLoop keeps the router→shard direction warm so the shard's idle
-// read deadline doesn't fire between submissions.
+// read deadline doesn't fire between submissions. A failed heartbeat only
+// stops the loop; the read side alone decides the session's death. The
+// write can fail against a shard that has sent its Result, Journal and
+// Bye and closed, while those frames still sit unread in the router's
+// socket: declaring the session dead there would cut the journal off.
 func (s *remoteShard) heartbeatLoop(sess *session) {
 	ticker := time.NewTicker(s.live.HeartbeatEvery)
 	defer ticker.Stop()
@@ -544,7 +562,6 @@ func (s *remoteShard) heartbeatLoop(sess *session) {
 		err := sess.conn.WriteFrame(wire.TypeHeartbeat, nil)
 		s.wmu.Unlock()
 		if err != nil {
-			s.sessionLost(sess, fmt.Errorf("federation: shard %d heartbeat: %w", s.id, err))
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"rtsads/internal/admission"
 	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
+	"rtsads/internal/metrics"
+	"rtsads/internal/obs"
 	"rtsads/internal/task"
 	"rtsads/internal/workload"
 )
@@ -90,6 +93,70 @@ func waitForSubmit(c *wire.Conn) ([]task.ID, error) {
 	}
 }
 
+// settleAllThenClose plays a shard that settles every task it is fed as a
+// deadline hit, checkpointing and summarising after each batch. On seal it
+// sends its Result, reads one router heartbeat to know they are flowing,
+// leaves the next one unread and closes: the unread heartbeat makes the
+// close a reset, and later heartbeat writes fail.
+func settleAllThenClose(c *wire.Conn) error {
+	n, seq := int64(0), uint64(0)
+	for {
+		c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		typ, body, err := c.ReadFrame()
+		if err != nil {
+			return err
+		}
+		switch typ {
+		case wire.TypeSubmit:
+			ts, err := wire.DecodeSubmit(body, func() *task.Task { return new(task.Task) })
+			if err != nil {
+				return err
+			}
+			seq++
+			ck := wire.Checkpoint{Seq: seq}
+			for _, t := range ts {
+				ck.Settled = append(ck.Settled, int32(t.ID))
+			}
+			n += int64(len(ts))
+			counters := map[string]int64{obs.MetricHits: n, obs.MetricAdmitted: n}
+			ck.Counters = counters
+			if err := writeJSON(c, wire.TypeCheckpoint, ck); err != nil {
+				return err
+			}
+			sum := wire.Summary{Load: livecluster.Summary{Workers: 2, Alive: 2}, Counters: counters}
+			if err := writeJSON(c, wire.TypeSummary, sum); err != nil {
+				return err
+			}
+		case wire.TypeSeal:
+			res := metrics.RunResult{Workers: 2, Total: int(n), Hits: int(n), Admitted: int(n)}
+			if err := writeJSON(c, wire.TypeResult, res); err != nil {
+				return err
+			}
+			for {
+				c.SetReadDeadline(time.Now().Add(10 * time.Second))
+				typ, _, err := c.ReadFrame()
+				if err != nil {
+					return err
+				}
+				if typ == wire.TypeHeartbeat {
+					break
+				}
+			}
+			time.Sleep(150 * time.Millisecond) // > one heartbeat period
+			c.Close()
+			return errors.New("closed after the result")
+		}
+	}
+}
+
+func writeJSON(c *wire.Conn, typ byte, v any) error {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return c.WriteFrame(typ, payload)
+}
+
 // TestFederationLiveTCPSessionDeathPaths drives every way a shard session
 // can die from the frame stream — a shard-reported error frame, undecodable
 // journal and result payloads, an unknown frame type, and a connection cut
@@ -168,6 +235,17 @@ func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 				return c.Close()
 			},
 			wantErr: "",
+		},
+		{
+			// The shard delivers its Result, then closes without a Journal
+			// or Bye while router heartbeats are in flight, so the socket
+			// resets under the heartbeat writes. The Result settles every
+			// task the shard was fed: folding the session's checkpoint
+			// books on top of it would count the shard twice, which
+			// Reconcile's Σ-totals identity catches.
+			name:    "result-then-close",
+			script:  settleAllThenClose,
+			wantErr: "shard 1 connection lost",
 		},
 	}
 	for _, tc := range cases {

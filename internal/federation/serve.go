@@ -155,10 +155,21 @@ func ServeShard(nc net.Conn, opt ServeShardOptions) error {
 		return err
 	}
 	entries, evicted := srv.o.Journal().Export()
-	if err := srv.sendJSON(wire.TypeJournal, wire.JournalExport{Entries: entries, Evicted: evicted}); err != nil {
+	if err := srv.send(wire.TypeJournal, wire.AppendJournal(nil, entries, evicted)); err != nil {
 		return err
 	}
-	return srv.send(wire.TypeBye, nil)
+	if err := srv.send(wire.TypeBye, nil); err != nil {
+		return err
+	}
+	// Linger until the router, having read the Bye, closes its end (the
+	// read loop then reports EOF). Closing first would leave the socket
+	// to answer any heartbeat still in flight with a reset, and a reset
+	// discards whatever of the journal the router has not read yet.
+	select {
+	case <-readErrc:
+	case <-time.After(srv.timeout):
+	}
+	return nil
 }
 
 // refuse reports a setup error to the router before failing the session.

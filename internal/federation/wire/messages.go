@@ -3,7 +3,6 @@ package wire
 import (
 	"rtsads/internal/admission"
 	"rtsads/internal/livecluster"
-	"rtsads/internal/obs"
 	"rtsads/internal/workload"
 )
 
@@ -81,10 +80,4 @@ type Checkpoint struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Sealed reports whether the shard's feed has been closed.
 	Sealed bool `json:"sealed,omitempty"`
-}
-
-// JournalExport ships the shard's lifecycle journal at seal time.
-type JournalExport struct {
-	Entries []obs.Entry `json:"entries"`
-	Evicted int64       `json:"evicted"`
 }

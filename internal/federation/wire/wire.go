@@ -6,9 +6,12 @@
 //
 //	[4-byte big-endian payload length][1-byte type][payload]
 //
-// Task batches — the hot path — use a fixed-width binary codec (48 bytes
-// per task, no reflection); everything that crosses the wire once per run
-// (hello, summaries, results, journals) is JSON inside its frame.
+// Framing rule: frames that grow with the run's task count are binary —
+// Submit (a fixed-width 48-byte record per task), Reject and Verdict (one
+// round trip per bounced task) and Journal (a varint-packed record per
+// lifecycle entry, see AppendJournal) — with no reflection. Fixed-size
+// control frames (Hello, Summary, Checkpoint, Result) are JSON inside
+// their frame.
 //
 // Versioning rules: the preamble's version byte names the frame grammar.
 // A peer MUST reject a version it does not speak — there is no
@@ -34,10 +37,11 @@ import (
 
 // Magic opens every session; Version names the frame grammar.
 // Version history: 1 = initial shard protocol; 2 adds the Checkpoint
-// frame and the Hello rejoin fields (Rejoin/Epoch/ResumeSeq).
+// frame and the Hello rejoin fields (Rejoin/Epoch/ResumeSeq); 3 = binary
+// Journal frame.
 const (
 	Magic   = "RTFW"
-	Version = 2
+	Version = 3
 )
 
 // Frame types. Submit/Verdict/Seal/Heartbeat flow router→shard;
@@ -51,7 +55,7 @@ const (
 	TypeSummary    byte = 5  // shard→router: JSON Summary (doubles as heartbeat)
 	TypeSeal       byte = 6  // router→shard: close the shard's feed
 	TypeResult     byte = 7  // shard→router: JSON final RunResult
-	TypeJournal    byte = 8  // shard→router: JSON journal entries
+	TypeJournal    byte = 8  // shard→router: binary journal (AppendJournal)
 	TypeHeartbeat  byte = 9  // either: liveness only
 	TypeBye        byte = 10 // either: clean close
 	TypeError      byte = 11 // either: fatal error string, then close

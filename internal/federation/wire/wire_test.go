@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rtsads/internal/affinity"
+	"rtsads/internal/obs"
 	"rtsads/internal/rng"
 	"rtsads/internal/simtime"
 	"rtsads/internal/task"
@@ -35,13 +36,19 @@ func TestHandshake(t *testing.T) {
 	}
 }
 
+// TestHandshakeRejectsWrongVersion covers an unknown future version and
+// the previous one: a version 2 peer ships JSON journals, so it must fail
+// at the handshake rather than at its first Journal frame.
 func TestHandshakeRejectsWrongVersion(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go func() { a.Write([]byte(Magic + "\x7f")) }()
-	if err := NewConn(b).ReadHandshake(); err == nil {
-		t.Fatal("handshake accepted an unknown version")
+	for _, v := range []byte{Version - 1, 0x7f} {
+		a, b := net.Pipe()
+		go func() { a.Write([]byte{Magic[0], Magic[1], Magic[2], Magic[3], v}) }()
+		err := NewConn(b).ReadHandshake()
+		a.Close()
+		b.Close()
+		if err == nil {
+			t.Fatalf("handshake accepted version %d", v)
+		}
 	}
 }
 
@@ -239,4 +246,224 @@ func TestHelloRejoinFieldsRoundTrip(t *testing.T) {
 			t.Errorf("first-contact hello leaks %q: %s", key, first)
 		}
 	}
+}
+
+// sampleJournal builds a shard journal shaped like a live run's: per task
+// an arrival, an admit, a deliver and an exec, a phase-start/phase-end
+// pair per eight tasks, and a bounce with its reason every tenth task.
+func sampleJournal(tasks int) []obs.Entry {
+	base := time.Unix(1_760_000_000, 123_456_789)
+	var out []obs.Entry
+	add := func(e obs.Entry) {
+		e.Seq = int64(len(out) + 1)
+		e.Wall = base.Add(time.Duration(len(out)) * 3 * time.Microsecond)
+		out = append(out, e)
+	}
+	for id := 1; id <= tasks; id++ {
+		at := simtime.Instant(id) * simtime.Instant(50*time.Microsecond)
+		deadline := at.Add(2 * time.Millisecond)
+		phase := id/8 + 1
+		if id%8 == 1 {
+			add(obs.Entry{Virtual: at, Type: "phase-start", Phase: phase, Worker: -1})
+		}
+		add(obs.Entry{Virtual: at, Type: "arrival", Task: id, Worker: -1, Deadline: deadline})
+		if id%10 == 0 {
+			add(obs.Entry{Virtual: at, Type: "bounce", Task: id, Worker: -1, Detail: "queue-full"})
+			continue
+		}
+		add(obs.Entry{Virtual: at, Type: "admit", Task: id, Worker: -1, Slack: 1900 * time.Microsecond, Deadline: deadline})
+		add(obs.Entry{Virtual: at + 40_000, Type: "deliver", Phase: phase, Task: id, Worker: id % 4, Dur: 8 * time.Microsecond})
+		add(obs.Entry{Virtual: at + 60_000, Type: "exec", Task: id, Worker: id % 4, Dur: 310 * time.Microsecond,
+			Hit: id%7 != 0, Slack: time.Duration(id%7-1) * 90 * time.Microsecond})
+		if id%8 == 0 {
+			add(obs.Entry{Virtual: at + 45_000, Type: "phase-end", Phase: phase, Worker: -1, Dur: 37 * time.Microsecond})
+		}
+	}
+	return out
+}
+
+// equalEntries compares journals field by field, Wall by instant: a decoded
+// Wall carries neither the monotonic reading nor the location of the
+// original.
+func equalEntries(t *testing.T, got, want []obs.Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if !g.Wall.Equal(w.Wall) || g.Wall.IsZero() != w.Wall.IsZero() {
+			t.Fatalf("entry %d: Wall %v, want %v", i, g.Wall, w.Wall)
+		}
+		g.Wall, w.Wall = time.Time{}, time.Time{}
+		if g != w {
+			t.Fatalf("entry %d: got %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+func TestJournalCodecRoundTrip(t *testing.T) {
+	edge := []obs.Entry{
+		{Seq: 1, Type: "run-start", Worker: -1, Detail: "4 workers"}, // zero Wall
+		{Seq: 2, Wall: time.Unix(0, 1), Virtual: 7, Type: "route", Task: 3, Worker: 1,
+			Shard: obs.RouterShard, Detail: "affinity"},
+		{Seq: 3, Wall: time.Unix(1_760_000_000, 999_999_999).UTC(), Virtual: simtime.Never,
+			Type: "exec", Task: math.MaxInt32, Worker: 3, Dur: time.Hour,
+			Slack: -250 * time.Microsecond, Shard: 1},
+		{Seq: math.MaxInt64, Wall: time.Unix(-1, 0), Virtual: -5, Type: "admit", Phase: -2,
+			Task: -1, Worker: math.MinInt32, Slack: math.MinInt64, Deadline: math.MaxInt64, Hit: true},
+		{Type: ""},
+	}
+	cases := []struct {
+		name    string
+		entries []obs.Entry
+		evicted int64
+	}{
+		{"empty", nil, 0},
+		{"empty-evicted", nil, 9},
+		{"edges", edge, 0},
+		{"sample-evicted", sampleJournal(200), 1 << 40},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := AppendJournal(nil, tc.entries, tc.evicted)
+			got, evicted, err := DecodeJournal(payload)
+			if err != nil {
+				t.Fatalf("DecodeJournal: %v", err)
+			}
+			if evicted != tc.evicted {
+				t.Fatalf("evicted = %d, want %d", evicted, tc.evicted)
+			}
+			equalEntries(t, got, tc.entries)
+		})
+	}
+	// The shard encodes into a buffer it can reuse: no allocation.
+	entries := sampleJournal(100)
+	buf := AppendJournal(nil, entries, 0)
+	if n := testing.AllocsPerRun(10, func() { buf = AppendJournal(buf[:0], entries, 0) }); n != 0 {
+		t.Errorf("AppendJournal into a reused buffer allocates %v times per call", n)
+	}
+}
+
+func TestDecodeJournalRejectsMalformed(t *testing.T) {
+	payload := AppendJournal(nil, sampleJournal(3), 2)
+	for cut := 0; cut < len(payload); cut++ {
+		if _, _, err := DecodeJournal(payload[:cut]); err == nil {
+			t.Fatalf("DecodeJournal accepted a %d-byte truncation of %d", cut, len(payload))
+		}
+	}
+	cases := []struct {
+		name    string
+		payload []byte
+		wantErr string
+	}{
+		{"trailing", append(append([]byte(nil), payload...), 0), "trailing"},
+		// One entry: evicted 0, count 1, flags 0, Seq 1, Virtual 2, then a
+		// 127-byte Type in a 14-byte entry.
+		{"string-overrun", []byte{0, 1, 0, 2, 4, 0x7f, 'x', 0, 0, 0, 0, 0, 0, 0, 0, 0}, "overruns"},
+		// A count far beyond what the payload could hold.
+		{"count", []byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0}, "announces"},
+		{"flags", []byte{0, 1, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, "unknown flags"},
+		// varint(-1) evicted entries.
+		{"evicted", []byte{1, 0}, "evicted"},
+		// An 11-byte varint overflows 64 bits.
+		{"varint-overflow", []byte{0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "malformed"},
+	}
+	for _, tc := range cases {
+		_, _, err := DecodeJournal(tc.payload)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: DecodeJournal(%x) error = %v, want one mentioning %q", tc.name, tc.payload, err, tc.wantErr)
+		}
+	}
+}
+
+// FuzzDecodeJournal feeds the Journal decoder arbitrary payloads — what a
+// corrupt or hostile shard can send. It must never panic, must size what
+// it allocates by the payload (at most one entry per minEntrySize bytes),
+// and whatever it accepts must survive a re-encode unchanged.
+func FuzzDecodeJournal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendJournal(nil, nil, 0))
+	f.Add(AppendJournal(nil, sampleJournal(2), 1))
+	f.Add(AppendJournal(nil, []obs.Entry{{Seq: 1, Type: "route", Worker: 2, Shard: obs.RouterShard, Detail: "x"}}, 0))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		entries, evicted, err := DecodeJournal(payload)
+		if err != nil {
+			return
+		}
+		if cap(entries)*minEntrySize > len(payload) {
+			t.Fatalf("%d entries allocated for a %d-byte payload", cap(entries), len(payload))
+		}
+		again, evicted2, err := DecodeJournal(AppendJournal(nil, entries, evicted))
+		if err != nil {
+			t.Fatalf("re-encoded journal does not decode: %v", err)
+		}
+		if evicted2 != evicted {
+			t.Fatalf("evicted %d after re-encode, want %d", evicted2, evicted)
+		}
+		equalEntries(t, again, entries)
+	})
+}
+
+var sinkEntries []obs.Entry
+
+// BenchmarkJournalCodec times the Journal frame codec on a live-shaped
+// journal, beside encoding/json on the same entries for reference (the
+// Journal frame was JSON through wire version 2). Each reports bytes and
+// nanoseconds per entry.
+func BenchmarkJournalCodec(b *testing.B) {
+	entries := sampleJournal(1000)
+	perEntry := func(b *testing.B, size int) {
+		b.ReportMetric(float64(size)/float64(len(entries)), "B/entry")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(entries)), "ns/entry")
+	}
+	payload := AppendJournal(nil, entries, 0)
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(payload))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = AppendJournal(buf[:0], entries, 0)
+		}
+		perEntry(b, len(buf))
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			got, _, err := DecodeJournal(payload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkEntries = got
+		}
+		perEntry(b, len(payload))
+	})
+	type jsonJournal struct {
+		Entries []obs.Entry `json:"entries"`
+		Evicted int64       `json:"evicted"`
+	}
+	js, err := json.Marshal(jsonJournal{Entries: entries})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("json-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(jsonJournal{Entries: entries}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perEntry(b, len(js))
+	})
+	b.Run("json-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var j jsonJournal
+			if err := json.Unmarshal(js, &j); err != nil {
+				b.Fatal(err)
+			}
+			sinkEntries = j.Entries
+		}
+		perEntry(b, len(js))
+	})
 }
