@@ -214,6 +214,8 @@ type Federation struct {
 	// route-reject); MergedEntries folds it into the shard journals with
 	// the RouterShard tag.
 	journal *obs.Journal
+	// routeDetail is the Detail of every route entry, built once.
+	routeDetail string
 
 	reg         *obs.Registry
 	routed      *obs.Counter
@@ -318,6 +320,7 @@ func New(cfg Config) (*Federation, error) {
 		orig:        make(map[task.ID]*task.Task, len(cfg.Workload.Tasks)),
 		salvagedIDs: make(map[task.ID]bool),
 		journal:     obs.NewJournal(cfg.JournalCap),
+		routeDetail: fmt.Sprintf("policy=%s", cfg.Placement),
 	}
 	for _, t := range cfg.Workload.Tasks {
 		f.orig[t.ID] = t
@@ -547,7 +550,7 @@ func (f *Federation) routeBatch(ts []*task.Task, now simtime.Instant) {
 		f.routed.Inc()
 		f.routedBy[s].Inc()
 		f.note(obs.Entry{Type: "route", Task: int(t.ID), Worker: s,
-			Detail: fmt.Sprintf("policy=%s", f.cfg.Placement)}, now)
+			Detail: f.routeDetail}, now)
 		f.stage[s] = append(f.stage[s], Localize(t, f.tp, s))
 	}
 	f.mu.Unlock()

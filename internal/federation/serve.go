@@ -154,8 +154,7 @@ func ServeShard(nc net.Conn, opt ServeShardOptions) error {
 	if err := srv.sendJSON(wire.TypeResult, out.res); err != nil {
 		return err
 	}
-	entries, evicted := srv.o.Journal().Export()
-	if err := srv.send(wire.TypeJournal, wire.AppendJournal(nil, entries, evicted)); err != nil {
+	if err := srv.send(wire.TypeJournal, wire.AppendJournalFrom(nil, srv.o.Journal())); err != nil {
 		return err
 	}
 	if err := srv.send(wire.TypeBye, nil); err != nil {

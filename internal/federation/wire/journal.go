@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"rtsads/internal/obs"
@@ -46,31 +47,54 @@ func AppendJournal(dst []byte, entries []obs.Entry, evicted int64) []byte {
 	dst = binary.AppendVarint(dst, evicted)
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for i := range entries {
-		e := &entries[i]
-		var flags byte
-		if !e.Wall.IsZero() {
-			flags |= flagWall
-		}
-		if e.Hit {
-			flags |= flagHit
-		}
-		dst = append(dst, flags)
-		dst = binary.AppendVarint(dst, e.Seq)
-		if flags&flagWall != 0 {
-			dst = binary.AppendVarint(dst, e.Wall.UnixNano())
-		}
-		dst = binary.AppendVarint(dst, int64(e.Virtual))
-		dst = appendString(dst, e.Type)
-		dst = binary.AppendVarint(dst, int64(e.Phase))
-		dst = binary.AppendVarint(dst, int64(e.Task))
-		dst = binary.AppendVarint(dst, int64(e.Worker))
-		dst = binary.AppendVarint(dst, int64(e.Dur))
-		dst = appendString(dst, e.Detail)
-		dst = binary.AppendVarint(dst, int64(e.Shard))
-		dst = binary.AppendVarint(dst, int64(e.Slack))
-		dst = binary.AppendVarint(dst, int64(e.Deadline))
+		dst = appendEntry(dst, &entries[i])
 	}
 	return dst
+}
+
+// journalEntryEstimate is the encoded size AppendJournalFrom reserves per
+// entry: a live shard's entries average about 35 bytes.
+const journalEntryEstimate = 40
+
+// AppendJournalFrom appends the Journal frame payload for j's retained
+// entries to dst, byte for byte what AppendJournal(dst, j.Export()) would,
+// but encoding straight from the journal's storage (under its lock)
+// instead of from a copy. dst grows once, sized from the entry count.
+func AppendJournalFrom(dst []byte, j *obs.Journal) []byte {
+	j.View(func(v obs.JournalView) {
+		dst = slices.Grow(dst, 2*binary.MaxVarintLen64+v.Len()*journalEntryEstimate)
+		dst = binary.AppendVarint(dst, v.Evicted())
+		dst = binary.AppendUvarint(dst, uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			dst = appendEntry(dst, v.At(i))
+		}
+	})
+	return dst
+}
+
+func appendEntry(dst []byte, e *obs.Entry) []byte {
+	var flags byte
+	if !e.Wall.IsZero() {
+		flags |= flagWall
+	}
+	if e.Hit {
+		flags |= flagHit
+	}
+	dst = append(dst, flags)
+	dst = binary.AppendVarint(dst, e.Seq)
+	if flags&flagWall != 0 {
+		dst = binary.AppendVarint(dst, e.Wall.UnixNano())
+	}
+	dst = binary.AppendVarint(dst, int64(e.Virtual))
+	dst = appendString(dst, e.Type)
+	dst = binary.AppendVarint(dst, int64(e.Phase))
+	dst = binary.AppendVarint(dst, int64(e.Task))
+	dst = binary.AppendVarint(dst, int64(e.Worker))
+	dst = binary.AppendVarint(dst, int64(e.Dur))
+	dst = appendString(dst, e.Detail)
+	dst = binary.AppendVarint(dst, int64(e.Shard))
+	dst = binary.AppendVarint(dst, int64(e.Slack))
+	return binary.AppendVarint(dst, int64(e.Deadline))
 }
 
 func appendString(dst []byte, s string) []byte {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net"
@@ -342,6 +343,58 @@ func TestJournalCodecRoundTrip(t *testing.T) {
 	buf := AppendJournal(nil, entries, 0)
 	if n := testing.AllocsPerRun(10, func() { buf = AppendJournal(buf[:0], entries, 0) }); n != 0 {
 		t.Errorf("AppendJournal into a reused buffer allocates %v times per call", n)
+	}
+}
+
+// TestAppendJournalFromMatchesExport pins the session-close encoder: a
+// Journal frame encoded straight from the ring is byte for byte the one
+// encoded from an exported copy, on a ring that wrapped across blocks and
+// evicted, and it decodes back to the exported entries.
+func TestAppendJournalFromMatchesExport(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cap, from int
+	}{
+		{"empty", 10, 0},
+		{"partial", 10_000, 300},
+		{"wrapped", 6_000, 2_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := obs.NewJournal(tc.cap)
+			for _, e := range sampleJournal(tc.from) {
+				j.Record(e)
+			}
+			entries, evicted := j.Export()
+			if tc.name == "wrapped" && evicted == 0 {
+				t.Fatalf("%d entries into a ring of %d evicted nothing", len(entries), tc.cap)
+			}
+			want := AppendJournal(nil, entries, evicted)
+			got := AppendJournalFrom(nil, j)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("AppendJournalFrom gave %d bytes, AppendJournal(Export()) %d; they differ", len(got), len(want))
+			}
+			decoded, dev, err := DecodeJournal(got)
+			if err != nil {
+				t.Fatalf("DecodeJournal: %v", err)
+			}
+			if dev != evicted {
+				t.Fatalf("evicted = %d, want %d", dev, evicted)
+			}
+			equalEntries(t, decoded, entries)
+			// Appending to a prefix keeps the prefix, and a reused buffer
+			// allocates nothing.
+			if again := AppendJournalFrom([]byte("hdr"), j); !bytes.Equal(again, append([]byte("hdr"), want...)) {
+				t.Fatal("AppendJournalFrom does not append to dst")
+			}
+			buf := got
+			if n := testing.AllocsPerRun(10, func() { buf = AppendJournalFrom(buf[:0], j) }); n != 0 {
+				t.Errorf("AppendJournalFrom into a reused buffer allocates %v times per call", n)
+			}
+		})
+	}
+	var nilJournal *obs.Journal
+	if got, want := AppendJournalFrom(nil, nilJournal), AppendJournal(nil, nil, 0); !bytes.Equal(got, want) {
+		t.Errorf("nil journal encodes as %x, want %x", got, want)
 	}
 }
 

@@ -394,6 +394,8 @@ type runState struct {
 	doneTick  chan struct{}
 	failCh    <-chan Failure
 	collectWG sync.WaitGroup
+	// timer is wait's sleep timer, reused across waits (host-only).
+	timer *time.Timer
 
 	// Host-only scheduling state.
 	alive        []bool
@@ -1148,15 +1150,23 @@ func (r *runState) wait(until simtime.Instant) {
 	if r.c.cfg.External {
 		feedC = r.c.feedTick
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	if r.timer == nil {
+		r.timer = time.NewTimer(d)
+	} else {
+		r.timer.Reset(d)
+	}
 	select {
-	case <-timer.C:
+	case <-r.timer.C:
+		return
 	case f := <-r.failCh:
 		r.handleFailure(f)
 	case <-r.doneTick:
 	case <-feedC:
 	case <-stopC:
+	}
+	// Stop and drain, so the next Reset starts from an empty channel.
+	if !r.timer.Stop() {
+		<-r.timer.C
 	}
 }
 

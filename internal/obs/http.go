@@ -73,7 +73,10 @@ func Serve(addr string, o *Observer) (*Server, error) {
 	})
 	mux.HandleFunc("/journal", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/jsonl")
-		o.Journal().WriteJSONL(w)
+		// Copy, then write: a slow client must not hold the journal lock
+		// that the host loop records under, as WriteJSONL would.
+		entries, evicted := o.Journal().Export()
+		WriteEntriesJSONL(w, entries, evicted)
 	})
 	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -155,4 +156,101 @@ func TestJournalConcurrent(t *testing.T) {
 			t.Fatalf("snapshot not in record order at %d: %d then %d", i, snap[i-1].Seq, snap[i].Seq)
 		}
 	}
+}
+
+// checkRingModel records total entries into a journal of capacity cap and
+// checks it against a plain-slice model at probe records and at the end:
+// Len, Evicted, Export, View and the blocks allocated so far.
+func checkRingModel(t *testing.T, cap, total, probe int) {
+	t.Helper()
+	j := NewJournal(cap)
+	check := func(recorded int) {
+		t.Helper()
+		kept := min(recorded, cap)
+		evicted := int64(recorded - kept)
+		if j.Len() != kept || j.Evicted() != evicted {
+			t.Fatalf("cap %d after %d records: Len %d Evicted %d, want %d and %d",
+				cap, recorded, j.Len(), j.Evicted(), kept, evicted)
+		}
+		if blocks := (kept + journalBlock - 1) / journalBlock; len(j.blocks) != blocks {
+			t.Fatalf("cap %d after %d records: %d blocks allocated, want %d", cap, recorded, len(j.blocks), blocks)
+		}
+		// The model keeps the newest kept records; record k carries Task k.
+		entries, ev := j.Export()
+		if len(entries) != kept || ev != evicted {
+			t.Fatalf("cap %d after %d records: Export gave %d entries, %d evicted", cap, recorded, len(entries), ev)
+		}
+		for i, e := range entries {
+			if want := recorded - kept + i + 1; e.Task != want || e.Seq != int64(want) {
+				t.Fatalf("cap %d after %d records: Export[%d] = task %d seq %d, want %d", cap, recorded, i, e.Task, e.Seq, want)
+			}
+		}
+		j.View(func(v JournalView) {
+			if v.Len() != kept || v.Evicted() != evicted {
+				t.Fatalf("cap %d after %d records: view Len %d Evicted %d", cap, recorded, v.Len(), v.Evicted())
+			}
+			for i := 0; i < v.Len(); i++ {
+				if *v.At(i) != entries[i] {
+					t.Fatalf("cap %d after %d records: View.At(%d) = %+v, Export has %+v", cap, recorded, i, *v.At(i), entries[i])
+				}
+			}
+		})
+	}
+	for k := 1; k <= total; k++ {
+		j.Record(Entry{Type: "exec", Task: k})
+		if k == probe {
+			check(k)
+		}
+	}
+	check(total)
+}
+
+func TestJournalChunkedRingMatchesSliceModel(t *testing.T) {
+	// Capacities below, at, just past and well past block boundaries, none
+	// but the first two a multiple of the block size; each is filled short
+	// of, exactly to, and several times around its capacity.
+	for _, cap := range []int{1, journalBlock, 5, journalBlock - 1, journalBlock + 1, 2*journalBlock + 17, 3*journalBlock - 3} {
+		for _, total := range []int{0, cap / 2, cap - 1, cap, cap + 1, 2*cap + journalBlock/3, 3*cap + 1} {
+			checkRingModel(t, cap, total, total/2)
+		}
+	}
+}
+
+// TestNewJournalAllocatesNoEntryStorage pins the point of the chunked
+// ring: a journal costs nothing for entries until it records one, and then
+// one block at a time.
+func TestNewJournalAllocatesNoEntryStorage(t *testing.T) {
+	const journals = 64
+	keep := make([]*Journal, journals)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewJournal(DefaultJournalCap)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / journals; per > 1024 {
+		t.Errorf("NewJournal(DefaultJournalCap) allocates %d bytes before its first Record", per)
+	}
+	j := keep[0]
+	j.Record(Entry{Type: "exec"})
+	if len(j.blocks) != 1 || len(j.blocks[0]) != journalBlock {
+		t.Errorf("first Record allocated %d blocks, want one of %d entries", len(j.blocks), journalBlock)
+	}
+	if n := testing.AllocsPerRun(100, func() { j.Record(Entry{Type: "exec"}) }); n != 0 {
+		t.Errorf("Record within an allocated block allocates %v times", n)
+	}
+}
+
+// FuzzJournalRing checks the chunked ring against the plain-slice model
+// for arbitrary capacities (capRaw+1, up to three blocks) and record
+// counts (up to four times the capacity), probing once mid-run.
+func FuzzJournalRing(f *testing.F) {
+	f.Add(uint16(2), uint16(10), uint16(4))
+	f.Add(uint16(journalBlock-1), uint16(journalBlock), uint16(1))
+	f.Add(uint16(journalBlock), uint16(2*journalBlock+5), uint16(journalBlock))
+	f.Fuzz(func(t *testing.T, capRaw, totalRaw, probeRaw uint16) {
+		cap := int(capRaw)%(3*journalBlock) + 1
+		total := int(totalRaw) % (4*cap + 1)
+		checkRingModel(t, cap, total, int(probeRaw)%(total+1))
+	})
 }

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -201,17 +203,17 @@ func MergeEntries(sources map[int][]Entry) []Entry {
 			out = append(out, e)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Virtual != out[j].Virtual {
-			return out[i].Virtual < out[j].Virtual
+	slices.SortStableFunc(out, func(a, b Entry) int {
+		if c := cmp.Compare(a.Virtual, b.Virtual); c != 0 {
+			return c
 		}
-		if !out[i].Wall.Equal(out[j].Wall) {
-			return out[i].Wall.Before(out[j].Wall)
+		if c := a.Wall.Compare(b.Wall); c != 0 {
+			return c
 		}
-		if out[i].Shard != out[j].Shard {
-			return out[i].Shard < out[j].Shard
+		if c := cmp.Compare(a.Shard, b.Shard); c != 0 {
+			return c
 		}
-		return out[i].Seq < out[j].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	return out
 }

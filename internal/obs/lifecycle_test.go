@@ -89,6 +89,32 @@ func TestMergeEntriesOrderAndTags(t *testing.T) {
 			}
 		}
 	}
+
+	// Ties: at one virtual instant, wall time orders entries across
+	// shards; where Wall ties too, the source shard and then the sequence
+	// number decide, whatever order the sources arrive in.
+	wall := time.Unix(1700000000, 0)
+	tie := func(seq int64, wallUs int) Entry {
+		return Entry{Seq: seq, Virtual: 7, Wall: wall.Add(time.Duration(wallUs) * time.Microsecond), Type: "exec"}
+	}
+	ties := MergeEntries(map[int][]Entry{
+		1:           {tie(1, 5), tie(2, 5), tie(3, 2)},
+		0:           {tie(4, 5), tie(5, 9)},
+		RouterShard: {tie(6, 5), {Seq: 7, Virtual: 6, Wall: wall.Add(time.Hour), Type: "route"}},
+	})
+	type key struct {
+		shard int
+		seq   int64
+	}
+	want := []key{{RouterShard, 7}, {1, 3}, {RouterShard, 6}, {0, 4}, {1, 1}, {1, 2}, {0, 5}}
+	if len(ties) != len(want) {
+		t.Fatalf("merged %d tied entries, want %d", len(ties), len(want))
+	}
+	for i, w := range want {
+		if got := (key{ties[i].Shard, ties[i].Seq}); got != w {
+			t.Errorf("tied entry %d = shard %d seq %d, want shard %d seq %d", i, got.shard, got.seq, w.shard, w.seq)
+		}
+	}
 }
 
 func TestAssembleTaskTracesAcrossShards(t *testing.T) {
