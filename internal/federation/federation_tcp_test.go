@@ -1,12 +1,14 @@
 package federation
 
 import (
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"rtsads/internal/admission"
+	"rtsads/internal/federation/wire"
 	"rtsads/internal/obs"
 	"rtsads/internal/workload"
 )
@@ -377,4 +379,155 @@ func TestFederationLiveTCPShardFlap(t *testing.T) {
 	}
 	t.Logf("flap run: rejoins=%d quarantines=%d salvaged=%d migrated=%d",
 		res.Rejoins, snap[MetricQuarantines], res.Salvaged, res.Migrated)
+}
+
+// frameTap watches one shard session's byte streams from the shard side
+// and records the entry count of every Reject frame the shard writes and
+// every Verdict frame it reads, in order.
+type frameTap struct {
+	net.Conn
+	mu       sync.Mutex
+	out, in  frameScanner
+	rejects  []int
+	verdicts []int
+}
+
+func (c *frameTap) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.out.feed(p, func(typ byte, payload []byte) {
+		if typ == wire.TypeReject {
+			var r wire.Reject
+			if err := wire.DecodeReject(payload, &r); err == nil {
+				c.rejects = append(c.rejects, len(r.Entries))
+			} else {
+				c.rejects = append(c.rejects, -1)
+			}
+		}
+	})
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *frameTap) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.in.feed(p[:n], func(typ byte, payload []byte) {
+		if typ == wire.TypeVerdict {
+			var v wire.Verdict
+			if err := wire.DecodeVerdict(payload, &v); err == nil {
+				c.verdicts = append(c.verdicts, len(v.Accepted))
+			} else {
+				c.verdicts = append(c.verdicts, -1)
+			}
+		}
+	})
+	c.mu.Unlock()
+	return n, err
+}
+
+// frameScanner splits one direction of a session — the 5-byte preamble,
+// then [4-byte length][type][payload] frames — as bytes go by.
+type frameScanner struct {
+	buf      []byte
+	preamble bool
+}
+
+func (s *frameScanner) feed(p []byte, frame func(typ byte, payload []byte)) {
+	s.buf = append(s.buf, p...)
+	if !s.preamble {
+		if len(s.buf) < len(wire.Magic)+1 {
+			return
+		}
+		s.buf, s.preamble = s.buf[len(wire.Magic)+1:], true
+	}
+	for len(s.buf) >= 5 {
+		n := int(binary.BigEndian.Uint32(s.buf[:4]))
+		if len(s.buf) < 5+n {
+			return
+		}
+		frame(s.buf[4], s.buf[5:5+n])
+		s.buf = s.buf[5+n:]
+	}
+}
+
+// TestFederationLiveTCPBatchedBounces runs a bursty overload through two
+// shard servers whose sessions are tapped at the frame level: a host-loop
+// pass that rejects several tasks must offer them in one Reject frame, so
+// Reject frames number fewer than the tasks they bounce, and every Verdict
+// must answer its Reject entry for entry.
+func TestFederationLiveTCPBatchedBounces(t *testing.T) {
+	p := workload.DefaultParams(4)
+	p.NumTransactions = 160
+	w, err := workload.Generate(p)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	taps := make([]*frameTap, 2)
+	addrs := make([]string, 2)
+	var wg sync.WaitGroup
+	for i := range taps {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen shard %d: %v", i, err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			taps[i] = &frameTap{Conn: c}
+			_ = ServeShard(taps[i], ServeShardOptions{})
+		}(i)
+	}
+	f, err := New(Config{
+		Workload:   w,
+		Topology:   Topology{Shards: 2, WorkersPerShard: 2},
+		Placement:  AffinityFirst,
+		Migrate:    true,
+		Scale:      200,
+		Admission:  admission.Config{Policy: admission.Reject, QueueCap: 4},
+		SlackGuard: 25 * time.Microsecond,
+		ShardAddrs: addrs,
+	})
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	res, err := f.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	wg.Wait()
+	if err := res.Reconcile(); err != nil {
+		t.Fatalf("reconcile: %v", err)
+	}
+	frames, entries := 0, 0
+	for i, tap := range taps {
+		tap.mu.Lock()
+		rejects, verdicts := tap.rejects, tap.verdicts
+		tap.mu.Unlock()
+		if len(verdicts) != len(rejects) {
+			t.Errorf("shard %d: %d Verdict frames for %d Reject frames", i, len(verdicts), len(rejects))
+		}
+		for k := range rejects {
+			if rejects[k] <= 0 {
+				t.Errorf("shard %d: Reject frame %d carries %d entries", i, k, rejects[k])
+			}
+			if k < len(verdicts) && verdicts[k] != rejects[k] {
+				t.Errorf("shard %d: Verdict %d answers %d entries, its Reject carried %d", i, k, verdicts[k], rejects[k])
+			}
+			entries += rejects[k]
+		}
+		frames += len(rejects)
+	}
+	if entries != res.Bounced {
+		t.Errorf("Reject frames carried %d entries, the router counted %d bounces", entries, res.Bounced)
+	}
+	if frames == 0 || frames >= entries {
+		t.Errorf("%d Reject frames for %d bounced tasks; want fewer frames than tasks", frames, entries)
+	}
+	t.Logf("%d bounced tasks in %d Reject frames; %s", entries, frames, res.Combined())
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rtsads/internal/admission"
 	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
@@ -468,10 +467,18 @@ func (s *remoteShard) finish(sess *session) {
 	s.doneOnce.Do(func() { close(s.done) })
 }
 
-// readLoop consumes every frame one session sends. Rejects are answered
-// synchronously with a Verdict so the shard's host loop sees the same
-// blocking bounce semantics as an in-process OnReject callback.
+// readLoop consumes every frame one session sends. A Reject carries one
+// shard host-loop pass's rejects; it is answered synchronously with one
+// Verdict covering every entry in order, after the accepted migrations
+// have been submitted to their siblings, so the shard's host loop sees the
+// same blocking bounce semantics as an in-process OnReject callback — one
+// round trip per pass, not per task.
 func (s *remoteShard) readLoop(sess *session) {
+	// The reject, verdict and verdict-payload buffers are reused across
+	// frames; this goroutine owns them.
+	var rej wire.Reject
+	var verdict wire.Verdict
+	var vbuf []byte
 	for {
 		sess.conn.SetReadDeadline(time.Now().Add(s.live.Timeout))
 		typ, body, err := sess.conn.ReadFrame()
@@ -494,15 +501,15 @@ func (s *remoteShard) readLoop(sess *session) {
 		case wire.TypeHeartbeat:
 			// Liveness only; the deadline reset above is the point.
 		case wire.TypeReject:
-			rej, err := wire.DecodeReject(body)
-			if err != nil {
-				s.sessionLost(sess, err)
+			if err := wire.DecodeReject(body, &rej); err != nil {
+				s.sessionLost(sess, fmt.Errorf("federation: shard %d reject: %w", s.id, err))
 				return
 			}
-			ok := s.f.onReject(s.id, task.ID(rej.ID), admission.Reason(rej.Reason), simtime.Instant(rej.NowNano))
+			verdict.Seq = rej.Seq
+			verdict.Accepted = s.f.onRejectBatch(s.id, rej.Entries, simtime.Instant(rej.NowNano), verdict.Accepted[:0])
+			vbuf = wire.AppendVerdict(vbuf[:0], verdict)
 			s.wmu.Lock()
-			s.wbuf = wire.EncodeVerdict(s.wbuf[:0], wire.Verdict{ID: rej.ID, Accepted: ok})
-			err = sess.conn.WriteFrame(wire.TypeVerdict, s.wbuf)
+			err = sess.conn.WriteFrame(wire.TypeVerdict, vbuf)
 			s.wmu.Unlock()
 			if err != nil {
 				s.sessionLost(sess, fmt.Errorf("federation: shard %d verdict write: %w", s.id, err))

@@ -214,22 +214,31 @@ func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 			wantErr: "shard 1 sent unknown frame type 99",
 		},
 		{
-			// The shard bounces a genuinely-submitted task and the connection
-			// dies before the verdict round-trip completes: depending on which
-			// side of the exchange notices first this surfaces as a verdict
-			// write failure or a connection loss, so only death itself is
-			// asserted — with the books still exactly balanced.
+			// The shard bounces a batch of genuinely-submitted tasks and the
+			// connection dies before the verdict round-trip completes:
+			// depending on which side of the exchange notices first this
+			// surfaces as a verdict write failure or a connection loss, so
+			// only death itself is asserted — with the books still exactly
+			// balanced whichever of the batch the router had migrated.
 			name: "reject-then-close",
 			script: func(c *wire.Conn) error {
-				ids, err := waitForSubmit(c)
+				var ids []task.ID
+				for len(ids) < 3 {
+					more, err := waitForSubmit(c)
+					if err != nil {
+						return err
+					}
+					ids = append(ids, more...)
+				}
+				rej := wire.Reject{Seq: 1, NowNano: 0}
+				for _, id := range ids[:3] {
+					rej.Entries = append(rej.Entries, wire.RejectEntry{ID: int32(id), Reason: admission.QueueFull})
+				}
+				payload, err := wire.AppendReject(nil, rej)
 				if err != nil {
 					return err
 				}
-				rej := wire.EncodeReject(nil, wire.Reject{
-					ID:     int32(ids[0]),
-					Reason: string(admission.QueueFull),
-				})
-				if err := c.WriteFrame(wire.TypeReject, rej); err != nil {
+				if err := c.WriteFrame(wire.TypeReject, payload); err != nil {
 					return err
 				}
 				return c.Close()
@@ -295,6 +304,103 @@ func TestFederationLiveTCPSessionDeathPaths(t *testing.T) {
 			}
 			t.Logf("%s: session error %q; shard 1 books total=%d lost=%d; salvaged=%d salvage-lost=%d",
 				tc.name, sessErr, res.Shards[1].Total, res.Shards[1].LostToFailure, res.Salvaged, res.SalvageLost)
+		})
+	}
+}
+
+// TestServeShardRejectsBadVerdict plays a router against a real shard
+// server: it floods the shard past its queue cap, waits for the Reject
+// the flood provokes, and answers with a Verdict the shard cannot match —
+// a wrong entry count, or a sequence it never sent. Either must end the
+// session with an error, not resolve the batch.
+func TestServeShardRejectsBadVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		verdict func(r wire.Reject) wire.Verdict
+		wantErr string
+	}{
+		{"count-mismatch", func(r wire.Reject) wire.Verdict {
+			return wire.Verdict{Seq: r.Seq, Accepted: make([]bool, len(r.Entries)+1)}
+		}, "verdicts for"},
+		{"never-sent", func(r wire.Reject) wire.Verdict {
+			return wire.Verdict{Seq: r.Seq + 5, Accepted: make([]bool, len(r.Entries))}
+		}, "last sent"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := workload.DefaultParams(4)
+			p.NumTransactions = 64
+			w, err := workload.Generate(p)
+			if err != nil {
+				t.Fatalf("generate: %v", err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			defer ln.Close()
+			served := make(chan error, 1)
+			go func() {
+				nc, err := ln.Accept()
+				if err != nil {
+					served <- err
+					return
+				}
+				served <- ServeShard(nc, ServeShardOptions{})
+			}()
+
+			nc, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer nc.Close()
+			c := wire.NewConn(nc)
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			if err := c.WriteHandshake(); err != nil {
+				t.Fatalf("handshake: %v", err)
+			}
+			if err := c.ReadHandshake(); err != nil {
+				t.Fatalf("handshake: %v", err)
+			}
+			hello, err := json.Marshal(wire.Hello{
+				Params: p, Shards: 1, WorkersPerShard: 4, Algorithm: "RT-SADS",
+				Scale: 50, StartUnixNano: time.Now().UnixNano(),
+				TimeoutNano: (10 * time.Second).Nanoseconds(),
+				Admission:   admission.Config{Policy: admission.Reject, QueueCap: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.WriteFrame(wire.TypeHello, hello); err != nil {
+				t.Fatalf("hello: %v", err)
+			}
+			if err := c.WriteFrame(wire.TypeSubmit, wire.AppendSubmit(nil, w.Tasks)); err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			var rej wire.Reject
+			for {
+				typ, body, err := c.ReadFrame()
+				if err != nil {
+					t.Fatalf("no Reject before %v", err)
+				}
+				if typ == wire.TypeReject {
+					if err := wire.DecodeReject(body, &rej); err != nil {
+						t.Fatalf("decode reject: %v", err)
+					}
+					break
+				}
+			}
+			if err := c.WriteFrame(wire.TypeVerdict, wire.AppendVerdict(nil, tc.verdict(rej))); err != nil {
+				t.Fatalf("verdict: %v", err)
+			}
+			// Drain until the shard hangs up, so its writes never block.
+			for {
+				if _, _, err := c.ReadFrame(); err != nil {
+					break
+				}
+			}
+			if err := <-served; err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("ServeShard returned %v, want an error containing %q", err, tc.wantErr)
+			}
 		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"rtsads/internal/core"
 	"rtsads/internal/experiment"
 	"rtsads/internal/faultinject"
+	"rtsads/internal/federation/wire"
 	"rtsads/internal/livecluster"
 	"rtsads/internal/metrics"
 	"rtsads/internal/obs"
@@ -386,14 +387,25 @@ func (f *Federation) Run() (*Result, error) {
 		f.shards = make([]*livecluster.Cluster, f.tp.Shards)
 		for i := range handles {
 			i := i
+			// The host loop calls OnReject serially, so one scratch pair per
+			// shard serves every pass.
+			var rejects []wire.RejectEntry
+			var taken []bool
 			cl, err := livecluster.New(livecluster.Config{
 				Workload:  ShardWorkload(f.cfg.Workload, f.tp, i),
 				Algorithm: f.cfg.Algorithm,
 				Scale:     f.cfg.Scale,
 				Clock:     clock,
 				External:  true,
-				OnReject: func(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
-					return f.onReject(i, t.ID, reason, now)
+				OnReject: func(b []livecluster.Bounce, now simtime.Instant) {
+					rejects = rejects[:0]
+					for _, x := range b {
+						rejects = append(rejects, wire.RejectEntry{ID: int32(x.Task.ID), Reason: x.Reason})
+					}
+					taken = f.onRejectBatch(i, rejects, now, taken[:0])
+					for k := range b {
+						b[k].Taken = taken[k]
+					}
 				},
 				Obs:          f.obsShards[i],
 				Faults:       f.faults[i],
@@ -582,38 +594,83 @@ func (f *Federation) acceptedBounces(i int) int64 {
 	return int64(f.bounces[i])
 }
 
-// onReject is each shard's bounce callback: re-offer a rejected task to
-// the best feasible sibling. Returning true transfers ownership (the task
-// was submitted to the sibling); false hands it back to the rejecting
-// shard to shed or lose locally. Tasks shed for shutdown never get here.
-// It is keyed by task ID — the router re-places its own global copy — so
-// remote shards can bounce with a 4-byte identifier.
-func (f *Federation) onReject(from int, id task.ID, reason admission.Reason, now simtime.Instant) bool {
+// onRejectBatch is each shard's bounce callback: it re-offers one host-loop
+// pass's rejects, in order, to the best feasible sibling of shard from,
+// and appends to taken whether each was accepted (ownership moves to the
+// sibling) or declined (the rejecting shard sheds or loses it locally).
+// Tasks shed for shutdown never get here. Entries are keyed by task ID —
+// the router re-places its own global copy — so remote shards bounce with
+// a 4-byte identifier.
+//
+// The §4.3 gate runs for every entry under one hold of f.mu, staging the
+// accepted migrations per sibling; after unlocking, each sibling gets one
+// Submit. A sibling submit that fails (a remote shard that died) is
+// charged to that sibling and salvaged, as routeBatch does; the entry
+// stays taken, since the router already owns the task.
+func (f *Federation) onRejectBatch(from int, rejects []wire.RejectEntry, now simtime.Instant, taken []bool) []bool {
+	var stage [][]*task.Task
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.bouncedN++
-	f.bounced.Inc()
-	return f.migrateLocked(from, id, string(reason), now)
+	for _, r := range rejects {
+		f.bouncedN++
+		f.bounced.Inc()
+		s, g, v := f.migrationTargetLocked(from, task.ID(r.ID), string(r.Reason), now)
+		taken = append(taken, s >= 0)
+		if s < 0 {
+			continue
+		}
+		f.commitMigrationLocked(from, s, g, v, string(r.Reason), now)
+		if stage == nil {
+			stage = make([][]*task.Task, f.tp.Shards)
+		}
+		stage[s] = append(stage[s], Localize(g, f.tp, s))
+	}
+	f.mu.Unlock()
+	for s, ts := range stage {
+		if len(ts) == 0 {
+			continue
+		}
+		if err := f.handles[s].SubmitBatch(ts); err != nil {
+			if rs, ok := f.handles[s].(*remoteShard); ok {
+				rs.chargeLost(len(ts))
+				f.salvageBatch(rs, ts, now)
+			}
+		}
+	}
+	return taken
 }
 
 // migrateLocked re-offers one task to the best feasible sibling of shard
-// from. Caller holds f.mu and has already counted the bounce. Returns true
-// when a sibling accepted the task.
+// from and submits it there at once — the salvage path's migration, run
+// under the lock. Caller holds f.mu and has already counted the bounce.
+// Returns true when a sibling accepted the task; a failed submit declines.
 func (f *Federation) migrateLocked(from int, id task.ID, reason string, now simtime.Instant) bool {
-	decline := func() bool {
-		f.rejectedN++
-		f.rejected.Inc()
-		f.note(obs.Entry{Type: "route-reject", Task: int(id), Worker: -1,
-			Detail: string(reason)}, now)
+	s, g, v := f.migrationTargetLocked(from, id, reason, now)
+	if s < 0 {
 		return false
 	}
+	if err := f.handles[s].SubmitBatch([]*task.Task{Localize(g, f.tp, s)}); err != nil {
+		f.declineLocked(id, reason, now)
+		return false
+	}
+	f.commitMigrationLocked(from, s, g, v, reason, now)
+	return true
+}
+
+// migrationTargetLocked runs the §4.3 migration gate for one rejected
+// task: it returns the best sibling of shard from whose view can still
+// meet the deadline, with the router's global copy of the task and the
+// sibling's view, or -1 (the decline already recorded) when none can.
+// Caller holds f.mu.
+func (f *Federation) migrationTargetLocked(from int, id task.ID, reason string, now simtime.Instant) (int, *task.Task, ShardView) {
 	if !f.cfg.Migrate {
-		return decline()
+		f.declineLocked(id, reason, now)
+		return -1, nil, ShardView{}
 	}
 	g := f.orig[id]
 	if g == nil {
 		// A task the router never placed (not ours to migrate).
-		return decline()
+		f.declineLocked(id, reason, now)
+		return -1, nil, ShardView{}
 	}
 	tried := f.tried[id]
 	if tried == nil {
@@ -626,12 +683,23 @@ func (f *Federation) migrateLocked(from int, id task.ID, reason string, now simt
 		return i != from && !tried[i] && views[i].Feasible(g, now)
 	})
 	if s < 0 {
-		return decline()
+		f.declineLocked(id, reason, now)
+		return -1, nil, ShardView{}
 	}
-	if err := f.handles[s].SubmitBatch([]*task.Task{Localize(g, f.tp, s)}); err != nil {
-		return decline()
-	}
-	tried[s] = true
+	return s, g, views[s]
+}
+
+// declineLocked records a rejected task the router could not re-place.
+func (f *Federation) declineLocked(id task.ID, reason string, now simtime.Instant) {
+	f.rejectedN++
+	f.rejected.Inc()
+	f.note(obs.Entry{Type: "route-reject", Task: int(id), Worker: -1, Detail: reason}, now)
+}
+
+// commitMigrationLocked books task g's migration from shard from to
+// sibling s, whose view v passed the gate. Caller holds f.mu.
+func (f *Federation) commitMigrationLocked(from, s int, g *task.Task, v ShardView, reason string, now simtime.Instant) {
+	f.tried[g.ID][s] = true
 	f.submitted[s]++
 	f.bounces[from]++
 	f.migratedN++
@@ -639,14 +707,13 @@ func (f *Federation) migrateLocked(from int, id task.ID, reason string, now simt
 	if rs, ok := f.handles[from].(*remoteShard); ok {
 		// The sibling owns the task now; the dead-shard salvage ledger
 		// must not offer it again.
-		rs.forget(id)
+		rs.forget(g.ID)
 	}
 	// The migrate span re-states the §4.3 verdict the sibling passed:
 	// RQs + se_lk against the slack left at this instant.
-	f.note(obs.Entry{Type: "migrate", Task: int(id), Worker: s,
+	f.note(obs.Entry{Type: "migrate", Task: int(g.ID), Worker: s,
 		Detail: fmt.Sprintf("from shard %d, reason %s: RQs=%s comm=%s slack=%s",
-			from, reason, views[s].RQs, views[s].Comm, g.Deadline.Sub(now))}, now)
-	return true
+			from, reason, v.RQs, v.Comm, g.Deadline.Sub(now))}, now)
 }
 
 // salvageLocked re-routes one task off dead shard s through the same §4.3

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"rtsads/internal/admission"
 	"rtsads/internal/core"
 	"rtsads/internal/experiment"
 	"rtsads/internal/federation/wire"
@@ -40,8 +39,22 @@ type shardServer struct {
 
 	wmu sync.Mutex
 
+	// The host loop has at most one bounce batch outstanding. vmu guards
+	// its hand-off: waitSeq is the sequence of the Reject awaiting its
+	// Verdict (0 = none) and waiting its entries, which readLoop resolves
+	// in place before signalling verdictc (buffered 1). readDone closes
+	// when readLoop exits, so a waiter never outlives the session.
 	vmu      sync.Mutex
-	verdicts map[int32]chan bool
+	rejSeq   uint32
+	waitSeq  uint32
+	waiting  []livecluster.Bounce
+	verdictc chan struct{}
+	readDone chan struct{}
+	// Host-goroutine scratch for onReject: the Reject being sent, its
+	// payload, and the verdict timer.
+	rej        wire.Reject
+	rejPayload []byte
+	vtimer     *time.Timer
 
 	// smu guards the checkpoint state: the settle buffer and verdict
 	// counts fed by the observer's OnSettle hook, plus the per-session
@@ -115,7 +128,10 @@ func ServeShard(nc net.Conn, opt ServeShardOptions) error {
 		srv.summaryLoop(stopTick)
 	}()
 	readErrc := make(chan error, 1)
-	go srv.readLoop(readErrc)
+	go func() {
+		defer close(srv.readDone)
+		srv.readLoop(readErrc)
+	}()
 
 	var sessionErr error
 	var out runOutcome
@@ -213,7 +229,8 @@ func startShard(conn *wire.Conn, hello wire.Hello, opt ServeShardOptions) (*shar
 		conn:       conn,
 		o:          o,
 		timeout:    timeout,
-		verdicts:   make(map[int32]chan bool),
+		verdictc:   make(chan struct{}, 1),
+		readDone:   make(chan struct{}),
 		ckptCounts: make(map[string]int64),
 	}
 	// Every terminal verdict lands in the checkpoint buffer together with
@@ -342,38 +359,96 @@ func (s *shardServer) summaryLoop(stop <-chan struct{}) {
 	}
 }
 
-// onReject is the cluster's bounce callback: it round-trips one Reject
-// frame to the router and blocks the host loop on the verdict, exactly
-// like an in-process OnReject call. Silence past the liveness timeout is
-// a declined migration — the shard sheds locally rather than stranding
-// the task.
-func (s *shardServer) onReject(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
-	id := int32(t.ID)
-	ch := make(chan bool, 1)
+// onReject is the cluster's bounce callback: it sends one host-loop
+// pass's rejects as one Reject frame and blocks the host loop on the
+// router's Verdict, exactly like an in-process OnReject call. Silence past
+// the liveness timeout, or a session that dies first, declines every entry
+// the router has not answered — the shard sheds locally rather than
+// stranding the tasks.
+func (s *shardServer) onReject(b []livecluster.Bounce, now simtime.Instant) {
+	s.rej.Entries = s.rej.Entries[:0]
+	for _, x := range b {
+		s.rej.Entries = append(s.rej.Entries, wire.RejectEntry{ID: int32(x.Task.ID), Reason: x.Reason})
+	}
 	s.vmu.Lock()
-	s.verdicts[id] = ch
+	s.rejSeq++
+	seq := s.rejSeq
+	s.waitSeq, s.waiting = seq, b
 	s.vmu.Unlock()
-	defer func() {
-		s.vmu.Lock()
-		delete(s.verdicts, id)
-		s.vmu.Unlock()
-	}()
-	payload := wire.EncodeReject(nil, wire.Reject{ID: id, Reason: string(reason), NowNano: int64(now)})
-	if err := s.send(wire.TypeReject, payload); err != nil {
-		return false
+	s.rej.Seq, s.rej.NowNano = seq, int64(now)
+	var err error
+	s.rejPayload, err = wire.AppendReject(s.rejPayload[:0], s.rej)
+	if err == nil {
+		err = s.send(wire.TypeReject, s.rejPayload)
+	}
+	if err != nil {
+		s.abandon(seq)
+		return
+	}
+	if s.vtimer == nil {
+		s.vtimer = time.NewTimer(s.timeout)
+	} else {
+		s.vtimer.Reset(s.timeout)
 	}
 	select {
-	case ok := <-ch:
-		return ok
-	case <-time.After(s.timeout):
+	case <-s.verdictc:
+		if !s.vtimer.Stop() {
+			<-s.vtimer.C
+		}
+		return
+	case <-s.vtimer.C:
+	case <-s.readDone:
+		if !s.vtimer.Stop() {
+			<-s.vtimer.C
+		}
+	}
+	if !s.abandon(seq) {
+		<-s.verdictc // the verdict landed meanwhile: its signal is due
+	}
+}
+
+// abandon stops waiting on Reject seq, leaving its entries declined. It
+// reports false when the Verdict already resolved them.
+func (s *shardServer) abandon(seq uint32) bool {
+	s.vmu.Lock()
+	defer s.vmu.Unlock()
+	if s.waitSeq != seq {
 		return false
 	}
+	s.waitSeq, s.waiting = 0, nil
+	return true
+}
+
+// applyVerdict resolves the outstanding bounce batch from the router's
+// Verdict. A Verdict for a batch the host loop already stopped waiting on
+// is stale and dropped; one for a batch never sent, or whose count differs
+// from its Reject's, is a session error.
+func (s *shardServer) applyVerdict(v *wire.Verdict) error {
+	s.vmu.Lock()
+	defer s.vmu.Unlock()
+	if v.Seq == 0 || v.Seq > s.rejSeq {
+		return fmt.Errorf("federation: router sent a verdict for reject %d, last sent %d", v.Seq, s.rejSeq)
+	}
+	if v.Seq != s.waitSeq {
+		return nil
+	}
+	if len(v.Accepted) != len(s.waiting) {
+		return fmt.Errorf("federation: router answered reject %d with %d verdicts for %d entries",
+			v.Seq, len(v.Accepted), len(s.waiting))
+	}
+	for i, ok := range v.Accepted {
+		s.waiting[i].Taken = ok
+	}
+	s.waitSeq, s.waiting = 0, nil
+	s.verdictc <- struct{}{} // never blocks: one signal per batch, taken before the next
+	return nil
 }
 
 // readLoop consumes the router's frames until the connection breaks. The
 // idle deadline is the liveness timeout; the router's heartbeats keep it
 // from firing between submissions.
 func (s *shardServer) readLoop(errc chan<- error) {
+	var verdict wire.Verdict
 	for {
 		s.conn.SetReadDeadline(time.Now().Add(s.timeout))
 		typ, body, err := s.conn.ReadFrame()
@@ -393,16 +468,13 @@ func (s *shardServer) readLoop(errc chan<- error) {
 			// treat sealing as the end, so dropping is correct.
 			_ = s.cl.SubmitBatch(ts)
 		case wire.TypeVerdict:
-			v, err := wire.DecodeVerdict(body)
-			if err != nil {
+			if err := wire.DecodeVerdict(body, &verdict); err != nil {
 				errc <- err
 				return
 			}
-			s.vmu.Lock()
-			ch := s.verdicts[v.ID]
-			s.vmu.Unlock()
-			if ch != nil {
-				ch <- v.Accepted
+			if err := s.applyVerdict(&verdict); err != nil {
+				errc <- err
+				return
 			}
 		case wire.TypeSeal:
 			s.cl.Seal()

@@ -599,7 +599,7 @@ func (f *simFed) original(id task.ID) *task.Task {
 
 // reject handles one shard-side admission rejection: migrate when a
 // feasible sibling exists, shed locally otherwise — the same bookkeeping
-// as livecluster's bounce path plus Federation.onReject.
+// as livecluster's bounce accounting plus Federation.onRejectBatch.
 func (f *simFed) reject(from *simShard, t *task.Task, reason admission.Reason, now simtime.Instant) {
 	f.bouncedN++
 	if f.migrateSim(from.id, t.ID, string(reason), now) {

@@ -7,11 +7,13 @@
 //	[4-byte big-endian payload length][1-byte type][payload]
 //
 // Framing rule: frames that grow with the run's task count are binary —
-// Submit (a fixed-width 48-byte record per task), Reject and Verdict (one
-// round trip per bounced task) and Journal (a varint-packed record per
-// lifecycle entry, see AppendJournal) — with no reflection. Fixed-size
-// control frames (Hello, Summary, Checkpoint, Result) are JSON inside
-// their frame.
+// Submit (a fixed-width 48-byte record per task), Reject and Verdict (a
+// count and a fixed-width entry per bounced task: one round trip per
+// shard host-loop pass, see AppendReject) and Journal (a varint-packed
+// record per lifecycle entry, see AppendJournal) — with no reflection.
+// Every binary decoder bounds an announced count by the payload length
+// before it allocates. Fixed-size control frames (Hello, Summary,
+// Checkpoint, Result) are JSON inside their frame.
 //
 // Versioning rules: the preamble's version byte names the frame grammar.
 // A peer MUST reject a version it does not speak — there is no
@@ -38,10 +40,12 @@ import (
 // Magic opens every session; Version names the frame grammar.
 // Version history: 1 = initial shard protocol; 2 adds the Checkpoint
 // frame and the Hello rejoin fields (Rejoin/Epoch/ResumeSeq); 3 = binary
-// Journal frame.
+// Journal frame; 4 = batched Reject/Verdict (a sequence number, a count
+// and N entries with one-byte reason codes, one exchange per shard
+// host-loop pass instead of one per bounced task).
 const (
 	Magic   = "RTFW"
-	Version = 3
+	Version = 4
 )
 
 // Frame types. Submit/Verdict/Seal/Heartbeat flow router→shard;
@@ -50,8 +54,8 @@ const (
 const (
 	TypeHello      byte = 1  // router→shard: JSON Hello
 	TypeSubmit     byte = 2  // router→shard: binary task batch
-	TypeReject     byte = 3  // shard→router: admission rejected a task
-	TypeVerdict    byte = 4  // router→shard: migration verdict for a reject
+	TypeReject     byte = 3  // shard→router: one pass's admission rejections
+	TypeVerdict    byte = 4  // router→shard: migration verdicts for a Reject
 	TypeSummary    byte = 5  // shard→router: JSON Summary (doubles as heartbeat)
 	TypeSeal       byte = 6  // router→shard: close the shard's feed
 	TypeResult     byte = 7  // shard→router: JSON final RunResult
@@ -140,23 +144,42 @@ func (c *Conn) WriteFrame(typ byte, payload []byte) error {
 	return c.bw.Flush()
 }
 
+// ReadFrame's buffer grows only as payload bytes arrive: to at most
+// readChunk before any has, then to at most readGrowth times what has
+// arrived, so a header announcing MaxFrame costs one chunk until the peer
+// really sends the bytes, while a frame up to readChunk — and a larger one
+// in few steps — is read without copying.
+const (
+	readChunk  = 256 << 10
+	readGrowth = 8
+)
+
 // ReadFrame reads one frame. The payload slice is the connection's scratch
-// buffer: it is only valid until the next ReadFrame.
+// buffer: it is only valid until the next ReadFrame. The buffer is kept
+// across frames.
 func (c *Conn) ReadFrame() (byte, []byte, error) {
 	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(c.rhdr[:4])
+	n := int(binary.BigEndian.Uint32(c.rhdr[:4]))
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: frame payload %d exceeds max %d", n, MaxFrame)
 	}
-	if cap(c.buf) < int(n) {
-		c.buf = make([]byte, n)
+	buf := c.buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(readChunk, readGrowth*len(buf))))
+			copy(grown, buf)
+			buf = grown
+		}
+		end := min(n, cap(buf))
+		if _, err := io.ReadFull(c.br, buf[len(buf):end]); err != nil {
+			c.buf = buf[:0]
+			return 0, nil, fmt.Errorf("wire: read payload: %w", err)
+		}
+		buf = buf[:end]
 	}
-	buf := c.buf[:n]
-	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return 0, nil, fmt.Errorf("wire: read payload: %w", err)
-	}
+	c.buf = buf
 	return c.rhdr[4], buf, nil
 }
 
@@ -199,7 +222,9 @@ func AppendSubmit(dst []byte, ts []*task.Task) []byte {
 }
 
 // DecodeSubmit decodes a Submit payload. alloc provides task storage (a
-// fresh allocation or an arena slot per task).
+// fresh allocation or an arena slot per task). Every record must pass
+// task.Validate; a bad one fails the whole frame with an error naming the
+// record and the field.
 func DecodeSubmit(payload []byte, alloc func() *task.Task) ([]*task.Task, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("wire: submit payload too short (%d bytes)", len(payload))
@@ -214,75 +239,10 @@ func DecodeSubmit(payload []byte, alloc func() *task.Task) ([]*task.Task, error)
 	for i := 0; i < n; i++ {
 		t := alloc()
 		DecodeTask(body[i*TaskRecordSize:], t)
+		if err := t.Validate(); err != nil {
+			return nil, fmt.Errorf("wire: submit record %d: %w", i, err)
+		}
 		ts[i] = t
 	}
 	return ts, nil
-}
-
-// Reject is the shard→router payload for one admission rejection: the
-// shard asks the router to migrate the task; the router answers with a
-// Verdict for the same ID.
-type Reject struct {
-	ID     int32  `json:"id"`
-	Reason string `json:"reason"`
-	// NowNano is the shard's virtual clock at the rejection, so the
-	// router's feasibility re-check uses the same instant the shard saw.
-	NowNano int64 `json:"now"`
-}
-
-// Verdict answers a Reject: Accepted means the router re-placed the task
-// on a sibling (the rejecting shard must not shed it).
-type Verdict struct {
-	ID       int32 `json:"id"`
-	Accepted bool  `json:"accepted"`
-}
-
-// EncodeReject/DecodeReject and the Verdict pair use a fixed binary
-// layout: these frames sit on the scheduling hot path when admission
-// control is shedding, so they avoid JSON.
-func EncodeReject(dst []byte, r Reject) []byte {
-	var b [16]byte
-	binary.BigEndian.PutUint32(b[0:4], uint32(r.ID))
-	binary.BigEndian.PutUint64(b[4:12], uint64(r.NowNano))
-	binary.BigEndian.PutUint32(b[12:16], uint32(len(r.Reason)))
-	dst = append(dst, b[:]...)
-	return append(dst, r.Reason...)
-}
-
-// DecodeReject parses an EncodeReject payload.
-func DecodeReject(payload []byte) (Reject, error) {
-	if len(payload) < 16 {
-		return Reject{}, fmt.Errorf("wire: reject payload too short (%d bytes)", len(payload))
-	}
-	r := Reject{
-		ID:      int32(binary.BigEndian.Uint32(payload[0:4])),
-		NowNano: int64(binary.BigEndian.Uint64(payload[4:12])),
-	}
-	n := int(binary.BigEndian.Uint32(payload[12:16]))
-	if len(payload) != 16+n {
-		return Reject{}, fmt.Errorf("wire: reject reason length %d does not match payload", n)
-	}
-	r.Reason = string(payload[16:])
-	return r, nil
-}
-
-// EncodeVerdict encodes a Verdict payload.
-func EncodeVerdict(dst []byte, v Verdict) []byte {
-	var b [5]byte
-	binary.BigEndian.PutUint32(b[0:4], uint32(v.ID))
-	if v.Accepted {
-		b[4] = 1
-	}
-	return append(dst, b[:]...)
-}
-
-// DecodeVerdict parses an EncodeVerdict payload.
-func DecodeVerdict(payload []byte) (Verdict, error) {
-	if len(payload) != 5 {
-		return Verdict{}, fmt.Errorf("wire: verdict payload is %d bytes, want 5", len(payload))
-	}
-	return Verdict{
-		ID:       int32(binary.BigEndian.Uint32(payload[0:4])),
-		Accepted: payload[4] != 0,
-	}, nil
 }

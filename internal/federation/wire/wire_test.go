@@ -2,14 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"rtsads/internal/admission"
 	"rtsads/internal/affinity"
 	"rtsads/internal/obs"
 	"rtsads/internal/rng"
@@ -38,10 +41,14 @@ func TestHandshake(t *testing.T) {
 }
 
 // TestHandshakeRejectsWrongVersion covers an unknown future version and
-// the previous one: a version 2 peer ships JSON journals, so it must fail
-// at the handshake rather than at its first Journal frame.
+// the previous two: a version 2 peer ships JSON journals and a version 3
+// peer one Reject frame per bounced task, so each must fail at the
+// handshake rather than at its first Journal or Reject frame.
 func TestHandshakeRejectsWrongVersion(t *testing.T) {
-	for _, v := range []byte{Version - 1, 0x7f} {
+	if Version != 4 {
+		t.Fatalf("Version = %d; extend this test with the versions it replaces", Version)
+	}
+	for _, v := range []byte{2, 3, 0x7f} {
 		a, b := net.Pipe()
 		go func() { a.Write([]byte{Magic[0], Magic[1], Magic[2], Magic[3], v}) }()
 		err := NewConn(b).ReadHandshake()
@@ -106,25 +113,44 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestTaskCodecRoundTrip round-trips random valid tasks through a Submit
+// payload, and bit patterns no valid task has through the record codec
+// alone: the record layout is lossless for any value, while DecodeSubmit
+// also validates (TestDecodeSubmitRejectsInvalid).
 func TestTaskCodecRoundTrip(t *testing.T) {
+	// Extremes: zero task, Never deadline, negative fields.
+	for _, want := range []task.Task{
+		{},
+		{ID: math.MaxInt32, Deadline: simtime.Never, Affinity: ^affinity.Set(0)},
+		{ID: -1, Arrival: -2, Proc: -3, Deadline: -4, Actual: -5, Payload: -6},
+	} {
+		var got task.Task
+		DecodeTask(AppendTask(nil, &want), &got)
+		if got != want {
+			t.Fatalf("record round-trip: got %+v, want %+v", got, want)
+		}
+	}
+
 	src := rng.New(7)
 	tasks := make([]*task.Task, 64)
 	for i := range tasks {
+		arrival := simtime.Instant(src.Intn(1 << 40))
+		proc := time.Duration(1 + src.Intn(1<<30))
 		tasks[i] = &task.Task{
 			ID:       task.ID(src.Intn(1 << 20)),
-			Arrival:  simtime.Instant(src.Intn(1 << 40)),
-			Proc:     time.Duration(src.Intn(1 << 30)),
-			Deadline: simtime.Instant(src.Intn(1 << 41)),
+			Arrival:  arrival,
+			Proc:     proc,
+			Deadline: arrival.Add(time.Duration(src.Intn(1 << 41))),
 			Affinity: affinity.Set(src.Uint64()),
-			Actual:   time.Duration(src.Intn(1 << 29)),
-			Payload:  int32(src.Intn(1 << 16)),
+			Actual:   time.Duration(src.Intn(int(proc) + 1)),
+			Payload:  int32(src.Intn(1<<16)) - 1<<15,
 		}
 	}
-	// Extremes: zero task, Never deadline, negative payload.
+	// Valid edges: empty affinity (a localized task may have none), Never
+	// deadline, zero Actual.
 	tasks = append(tasks,
-		&task.Task{},
-		&task.Task{ID: math.MaxInt32, Deadline: simtime.Never, Affinity: ^affinity.Set(0)},
-		&task.Task{ID: 1, Payload: -3},
+		&task.Task{ID: 1, Proc: 1},
+		&task.Task{ID: math.MaxInt32, Proc: 1, Deadline: simtime.Never, Affinity: ^affinity.Set(0)},
 	)
 
 	payload := AppendSubmit(nil, tasks)
@@ -146,6 +172,42 @@ func TestTaskCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeSubmitRejectsInvalid sends one bad record among good ones for
+// each task.Validate rule: the whole frame fails, and the error names the
+// record and the field.
+func TestDecodeSubmitRejectsInvalid(t *testing.T) {
+	valid := task.Task{ID: 7, Arrival: 10, Proc: 100, Actual: 50, Deadline: 500}
+	cases := []struct {
+		name   string
+		mutate func(*task.Task)
+		want   string
+	}{
+		{"zero proc", func(tt *task.Task) { tt.Proc = 0 }, "Proc"},
+		{"negative proc", func(tt *task.Task) { tt.Proc = -1 }, "Proc"},
+		{"negative actual", func(tt *task.Task) { tt.Actual = -1 }, "Actual"},
+		{"actual beyond proc", func(tt *task.Task) { tt.Actual = tt.Proc + 1 }, "Actual"},
+		{"negative arrival", func(tt *task.Task) { tt.Arrival, tt.Deadline = -1, 5 }, "Arrival"},
+		{"deadline before arrival", func(tt *task.Task) { tt.Deadline = tt.Arrival - 1 }, "Deadline"},
+	}
+	for _, c := range cases {
+		bad := valid
+		c.mutate(&bad)
+		good := valid
+		payload := AppendSubmit(nil, []*task.Task{&good, &bad, &good})
+		_, err := DecodeSubmit(payload, func() *task.Task { return new(task.Task) })
+		if err == nil {
+			t.Errorf("%s: DecodeSubmit accepted %+v", c.name, bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), "record 1") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name record 1 and field %s", c.name, err, c.want)
+		}
+	}
+	if _, err := DecodeSubmit(AppendSubmit(nil, []*task.Task{&valid}), func() *task.Task { return new(task.Task) }); err != nil {
+		t.Fatalf("valid record rejected: %v", err)
+	}
+}
+
 func TestDecodeSubmitRejectsTruncated(t *testing.T) {
 	payload := AppendSubmit(nil, []*task.Task{{ID: 1}, {ID: 2}})
 	for _, cut := range []int{1, 4, 5, len(payload) - 1} {
@@ -156,29 +218,130 @@ func TestDecodeSubmitRejectsTruncated(t *testing.T) {
 }
 
 func TestRejectVerdictRoundTrip(t *testing.T) {
-	r := Reject{ID: 99, Reason: "queue-full", NowNano: 123456789}
-	got, err := DecodeReject(EncodeReject(nil, r))
-	if err != nil {
-		t.Fatalf("DecodeReject: %v", err)
+	for _, want := range []Reject{
+		{Seq: 1, NowNano: 123456789},
+		{Seq: 9, NowNano: -1, Entries: []RejectEntry{{ID: 99, Reason: admission.QueueFull}}},
+		{Seq: math.MaxUint32, NowNano: math.MaxInt64, Entries: []RejectEntry{
+			{ID: 1, Reason: admission.Hopeless}, {ID: -1, Reason: admission.QueueFull},
+			{ID: math.MaxInt32, Reason: admission.Infeasible}, {ID: 4, Reason: admission.ShardDown},
+			{ID: 5, Reason: admission.ShuttingDown},
+		}},
+	} {
+		payload, err := AppendReject(nil, want)
+		if err != nil {
+			t.Fatalf("AppendReject: %v", err)
+		}
+		if len(payload) != rejectHeader+rejectEntrySize*len(want.Entries) {
+			t.Fatalf("reject payload is %d bytes for %d entries", len(payload), len(want.Entries))
+		}
+		var got Reject
+		if err := DecodeReject(payload, &got); err != nil {
+			t.Fatalf("DecodeReject: %v", err)
+		}
+		if got.Seq != want.Seq || got.NowNano != want.NowNano || len(got.Entries) != len(want.Entries) {
+			t.Fatalf("reject round-trip: got %+v, want %+v", got, want)
+		}
+		for i := range want.Entries {
+			if got.Entries[i] != want.Entries[i] {
+				t.Fatalf("reject entry %d: got %+v, want %+v", i, got.Entries[i], want.Entries[i])
+			}
+		}
 	}
-	if got != r {
-		t.Fatalf("reject round-trip: got %+v, want %+v", got, r)
+	if _, err := AppendReject(nil, Reject{Entries: []RejectEntry{{ID: 1, Reason: "bogus"}}}); err == nil {
+		t.Fatal("AppendReject encoded a reason with no wire code")
 	}
-	if _, err := DecodeReject([]byte{1, 2, 3}); err == nil {
-		t.Fatal("DecodeReject accepted a truncated payload")
+	good, _ := AppendReject(nil, Reject{Seq: 1, Entries: []RejectEntry{{ID: 3, Reason: admission.Hopeless}}})
+	for name, bad := range map[string][]byte{
+		"truncated":     good[:len(good)-1],
+		"short header":  good[:rejectHeader-1],
+		"trailing byte": append(append([]byte(nil), good...), 0),
+		"reason 0":      append(append([]byte(nil), good[:len(good)-1]...), 0),
+		"reason 200":    append(append([]byte(nil), good[:len(good)-1]...), 200),
+		"huge count":    {0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},
+	} {
+		var r Reject
+		if err := DecodeReject(bad, &r); err == nil {
+			t.Errorf("DecodeReject accepted %s payload", name)
+		}
 	}
 
-	for _, v := range []Verdict{{ID: 7, Accepted: true}, {ID: -1, Accepted: false}} {
-		got, err := DecodeVerdict(EncodeVerdict(nil, v))
-		if err != nil {
+	for _, want := range []Verdict{{Seq: 1}, {Seq: 7, Accepted: []bool{true}}, {Seq: 8, Accepted: []bool{false, true, true, false}}} {
+		var got Verdict
+		if err := DecodeVerdict(AppendVerdict(nil, want), &got); err != nil {
 			t.Fatalf("DecodeVerdict: %v", err)
 		}
-		if got != v {
-			t.Fatalf("verdict round-trip: got %+v, want %+v", got, v)
+		if got.Seq != want.Seq || !reflect.DeepEqual(append([]bool{}, got.Accepted...), append([]bool{}, want.Accepted...)) {
+			t.Fatalf("verdict round-trip: got %+v, want %+v", got, want)
 		}
 	}
-	if _, err := DecodeVerdict([]byte{0}); err == nil {
-		t.Fatal("DecodeVerdict accepted a truncated payload")
+	vgood := AppendVerdict(nil, Verdict{Seq: 2, Accepted: []bool{true, false}})
+	for name, bad := range map[string][]byte{
+		"truncated":     vgood[:len(vgood)-1],
+		"short header":  vgood[:verdictHeader-1],
+		"trailing byte": append(append([]byte(nil), vgood...), 0),
+		"flag 2":        append(append([]byte(nil), vgood[:len(vgood)-1]...), 2),
+		"huge count":    {0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff},
+	} {
+		var v Verdict
+		if err := DecodeVerdict(bad, &v); err == nil {
+			t.Errorf("DecodeVerdict accepted %s payload", name)
+		}
+	}
+}
+
+// TestReadFrameGrowsWithArrivingBytes announces a MaxFrame payload and
+// then closes: ReadFrame must fail without allocating anything near the
+// announced size. A multi-megabyte frame still round-trips, and the grown
+// buffer serves the next frame without reallocating.
+func TestReadFrameGrowsWithArrivingBytes(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	c := NewConn(b)
+	go func() {
+		var hdr [5]byte
+		binary.BigEndian.PutUint32(hdr[:4], MaxFrame)
+		hdr[4] = TypeJournal
+		a.Write(hdr[:])
+		a.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := c.ReadFrame()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ReadFrame accepted a payload cut off by EOF")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("ReadFrame allocated %d bytes for a header and EOF; want under 1 MiB", grew)
+	}
+
+	x, y := pipe(t)
+	big := make([]byte, 5<<20+123)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		if err := x.WriteFrame(TypeJournal, big); err != nil {
+			errCh <- err
+			return
+		}
+		errCh <- x.WriteFrame(TypeJournal, big[:4<<20])
+	}()
+	typ, got, err := y.ReadFrame()
+	if err != nil || typ != TypeJournal || !bytes.Equal(got, big) {
+		t.Fatalf("multi-MB frame: type %d, %d bytes, err %v; want type %d, %d bytes", typ, len(got), err, TypeJournal, len(big))
+	}
+	first := &got[0]
+	typ, got, err = y.ReadFrame()
+	if err != nil || typ != TypeJournal || !bytes.Equal(got, big[:4<<20]) {
+		t.Fatalf("second frame: type %d, %d bytes, err %v", typ, len(got), err)
+	}
+	if &got[0] != first {
+		t.Error("a smaller frame reallocated the grown read buffer")
+	}
+	if err := <-errCh; err != nil {
+		t.Fatalf("WriteFrame: %v", err)
 	}
 }
 
@@ -455,6 +618,58 @@ func FuzzDecodeJournal(f *testing.F) {
 			t.Fatalf("evicted %d after re-encode, want %d", evicted2, evicted)
 		}
 		equalEntries(t, again, entries)
+	})
+}
+
+// FuzzDecodeReject feeds the Reject decoder arbitrary payloads. It must
+// never panic, must allocate no more entries than the payload holds, and
+// whatever it accepts must re-encode to the same bytes.
+func FuzzDecodeReject(f *testing.F) {
+	f.Add([]byte{})
+	for _, r := range []Reject{
+		{Seq: 1},
+		{Seq: 2, NowNano: 1 << 40, Entries: []RejectEntry{{ID: 7, Reason: admission.QueueFull}, {ID: 8, Reason: admission.Hopeless}}},
+	} {
+		payload, err := AppendReject(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var r Reject
+		if err := DecodeReject(payload, &r); err != nil {
+			return
+		}
+		if rejectHeader+cap(r.Entries)*rejectEntrySize > len(payload) {
+			t.Fatalf("%d entries allocated for a %d-byte payload", cap(r.Entries), len(payload))
+		}
+		again, err := AppendReject(nil, r)
+		if err != nil {
+			t.Fatalf("decoded reject does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoded reject differs:\n got %x\nwant %x", again, payload)
+		}
+	})
+}
+
+// FuzzDecodeVerdict is FuzzDecodeReject for the Verdict decoder.
+func FuzzDecodeVerdict(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendVerdict(nil, Verdict{Seq: 1}))
+	f.Add(AppendVerdict(nil, Verdict{Seq: 3, Accepted: []bool{true, false, true}}))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var v Verdict
+		if err := DecodeVerdict(payload, &v); err != nil {
+			return
+		}
+		if verdictHeader+cap(v.Accepted)*verdictEntrySize > len(payload) {
+			t.Fatalf("%d entries allocated for a %d-byte payload", cap(v.Accepted), len(payload))
+		}
+		if again := AppendVerdict(nil, v); !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoded verdict differs:\n got %x\nwant %x", again, payload)
+		}
 	})
 }
 

@@ -3,7 +3,6 @@ package livecluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -181,14 +180,27 @@ type Config struct {
 	// (and sizes the in-process backend's ready queues, so keep its task
 	// list populated even though it is not replayed).
 	External bool
-	// OnReject, when non-nil, is offered every task the admission gate — or
-	// a total local worker loss — would otherwise shed, before it is counted
-	// shed: returning true takes ownership (the cluster counts the task
-	// Bounced and forgets it), false declines (the cluster sheds it locally
-	// as usual). Called from the host goroutine with no cluster locks held;
-	// the callback must not call Submit on this same cluster. Tasks turned
-	// away because the cluster is shutting down are never offered.
-	OnReject func(t *task.Task, reason admission.Reason, now simtime.Instant) bool
+	// OnReject, when non-nil, is offered the tasks the admission gate — or
+	// a total local worker loss — would otherwise shed, before they are
+	// counted: once per host-loop absorb pass, with every reject of the
+	// pass (due arrivals, feed submissions, queue-full victims, reclaimed
+	// tasks turned away, and the ShardDown purge when no worker survives)
+	// in the order they arose. The callback sets Taken on each entry it
+	// takes ownership of. Afterwards the cluster accounts each entry in
+	// order: taken counts Bounced and is forgotten; not taken is shed
+	// locally, or counted lost when the reason is ShardDown. Called from
+	// the host goroutine with no cluster locks held; the callback must not
+	// call Submit on this same cluster, and must not keep the slice. Tasks
+	// turned away because the cluster is shutting down are never offered.
+	OnReject func(b []Bounce, now simtime.Instant)
+}
+
+// Bounce is one locally-unservable task offered to Config.OnReject.
+type Bounce struct {
+	Task   *task.Task
+	Reason admission.Reason
+	// Taken is set by the callback when it takes ownership of the task.
+	Taken bool
 }
 
 // Summary is a point-in-time load snapshot of one cluster, exported so a
@@ -367,17 +379,9 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// flight is one delivered-but-unfinished job the host tracks so it can be
-// reclaimed if its worker dies.
-type flight struct {
-	t      *task.Task
-	worker int
-	due    simtime.Instant // planned completion on the worker's queue
-}
-
 // runState is the mutable state of one Run. The host goroutine owns the
 // scheduling fields (batch, freeAt, alive, planner); mu guards the fields
-// shared with the completion collector (res, inflight).
+// shared with the completion collector (res, flights).
 type runState struct {
 	c       *Cluster
 	clock   *Clock
@@ -387,9 +391,9 @@ type runState struct {
 
 	o *obs.Observer
 
-	mu       sync.Mutex
-	res      *metrics.RunResult
-	inflight map[task.ID]*flight
+	mu      sync.Mutex
+	res     *metrics.RunResult
+	flights *flightSet
 
 	doneTick  chan struct{}
 	failCh    <-chan Failure
@@ -406,6 +410,10 @@ type runState struct {
 	next         int
 	planner      core.Planner
 	plannerStale bool
+	// rejects collects the current absorb pass's bounce offers for
+	// Config.OnReject; overdue is checkStragglers' scratch.
+	rejects []Bounce
+	overdue []int
 
 	// Overload control (host-only). adm gates every batch admission (nil
 	// admits everything). degrading is the planner's degraded-mode
@@ -487,7 +495,7 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 		live:     c.cfg.Liveness,
 		pc:       &phaseClock{clock: clock},
 		res:      res,
-		inflight: make(map[task.ID]*flight),
+		flights:  newFlightSet(w.Params.Workers),
 		doneTick: make(chan struct{}, 1),
 		failCh:   backend.Failures(),
 		alive:    make([]bool, w.Params.Workers),
@@ -506,6 +514,8 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 	go r.collect()
 
 	hostErr := r.loop()
+	// A loop that ends on Stop may leave the last pass's rejects unoffered.
+	r.offerRejects(clock.Now())
 
 	if c.cfg.External {
 		// Seal so late Submits error instead of vanishing, then account any
@@ -527,13 +537,14 @@ func (c *Cluster) Run() (*metrics.RunResult, error) {
 	// completed and was never reclaimed — count it lost rather than let the
 	// books quietly not balance.
 	r.mu.Lock()
-	for id, fl := range r.inflight {
-		delete(r.inflight, id)
-		res.LostToFailure++
-		r.o.Lost(fl.t.ID, fl.worker, clock.Now())
-		r.record(metrics.Completion{Task: fl.t.ID, Proc: fl.worker})
+	for k := range r.alive {
+		for _, fl := range r.flights.takeWorker(k) {
+			res.LostToFailure++
+			r.o.Lost(fl.t.ID, fl.worker, clock.Now())
+			r.record(metrics.Completion{Task: fl.t.ID, Proc: fl.worker})
+		}
 	}
-	r.o.Inflight(len(r.inflight))
+	r.o.Inflight(r.flights.len())
 	r.mu.Unlock()
 	r.o.RunEnd(clock.Now(), res.String())
 
@@ -555,12 +566,11 @@ func (r *runState) collect() {
 	defer r.collectWG.Done()
 	for d := range r.backend.Done() {
 		r.mu.Lock()
-		fl, ok := r.inflight[task.ID(d.Task)]
-		if !ok {
+		fl := r.flights.remove(task.ID(d.Task))
+		if fl == nil {
 			r.mu.Unlock()
 			continue
 		}
-		delete(r.inflight, task.ID(d.Task))
 		if d.Expired {
 			// The worker shed the job at its queue head: the deadline was
 			// already unreachable, so it missed without execution — the same
@@ -568,7 +578,7 @@ func (r *runState) collect() {
 			// tier down.
 			r.res.Purged++
 			r.o.Purge(fl.t.ID, d.Start)
-			r.o.Inflight(len(r.inflight))
+			r.o.Inflight(r.flights.len())
 			r.record(metrics.Completion{Task: fl.t.ID, Proc: -1})
 			r.mu.Unlock()
 			select {
@@ -592,7 +602,7 @@ func (r *runState) collect() {
 		r.res.Response.Add(d.Finish.Sub(fl.t.Arrival))
 		r.o.Exec(fl.t.ID, d.Worker, d.Start, d.Finish, hit,
 			d.Finish.Sub(fl.t.Arrival), fl.t.Deadline.Sub(d.Finish))
-		r.o.Inflight(len(r.inflight))
+		r.o.Inflight(r.flights.len())
 		r.record(metrics.Completion{
 			Task: fl.t.ID, Proc: d.Worker, Start: d.Start, Finish: d.Finish,
 			Hit: hit, Executed: true,
@@ -656,6 +666,7 @@ func (r *runState) loop() error {
 			r.mu.Unlock()
 		}
 		r.checkStragglers(now)
+		r.offerRejects(now)
 		r.publishSummary(now)
 
 		if r.batch.Len() == 0 {
@@ -679,10 +690,9 @@ func (r *runState) loop() error {
 				// submissions bounce the same way, and the run still ends on
 				// seal-and-drain.
 				for _, t := range r.batch.PurgeMissed(simtime.Never) {
-					if !r.bounce(t, admission.ShardDown, now) {
-						r.lose(t, now)
-					}
+					r.reject(t, admission.ShardDown, now)
 				}
+				r.offerRejects(now)
 				r.wait(r.nextEvent(now))
 				continue
 			}
@@ -816,7 +826,7 @@ func (r *runState) loop() error {
 			start := deliverAt.Max(r.freeAt[k])
 			due := start.Add(t.Proc + a.Comm)
 			r.freeAt[k] = due
-			r.inflight[t.ID] = &flight{t: t, worker: k, due: due}
+			r.flights.add(&flight{t: t, worker: k, due: due})
 			perWorker[k] = append(perWorker[k], Job{
 				Task: int32(t.ID),
 				Txn:  t.Payload,
@@ -830,7 +840,7 @@ func (r *runState) loop() error {
 			r.o.Deliver(phase, t.ID, k, a.Comm, deliverAt)
 			scheduled = append(scheduled, t)
 		}
-		r.o.Inflight(len(r.inflight))
+		r.o.Inflight(r.flights.len())
 		r.mu.Unlock()
 		retryAt := simtime.Never
 		var deferred map[task.ID]bool
@@ -856,11 +866,9 @@ func (r *runState) loop() error {
 			r.res.Overloads += len(rejected)
 			for _, j := range rejected {
 				id := task.ID(j.Task)
-				delete(r.inflight, id)
+				r.flights.remove(id)
 				deferred[id] = true
 			}
-			// Roll the worker's backlog model back to what was actually
-			// enqueued.
 			// Roll the worker's backlog model back to what was actually
 			// enqueued — but never below the backend's own estimate of when a
 			// slot frees. Flooring at "now" would advertise a full worker as
@@ -868,13 +876,11 @@ func (r *runState) loop() error {
 			// a tight loop, starving the workers of CPU (a completion wakes
 			// the host early via doneTick, so an over-estimate costs nothing).
 			free := at.Add(ov.RetryAfter)
-			for _, fl := range r.inflight {
-				if fl.worker == k && fl.due.After(free) {
-					free = fl.due
-				}
+			if due, ok := r.flights.lastDue(k); ok && due.After(free) {
+				free = due
 			}
 			r.freeAt[k] = free
-			r.o.Inflight(len(r.inflight))
+			r.o.Inflight(r.flights.len())
 			r.mu.Unlock()
 			r.o.Overloaded(k, len(rejected), ov.RetryAfter, at)
 			retryAt = retryAt.Min(at.Add(ov.RetryAfter))
@@ -929,33 +935,47 @@ func (r *runState) admit(t *task.Task, now simtime.Instant, arrival bool) {
 	r.batch.Add(t)
 }
 
-// reject routes one non-admitted task: offered to the federation router
-// first when one is attached, shed locally otherwise. Host goroutine only.
+// reject routes one non-admitted task: with a federation router attached
+// it joins the pass's offer (see offerRejects), otherwise it is shed
+// locally at once. Host goroutine only.
 func (r *runState) reject(t *task.Task, reason admission.Reason, now simtime.Instant) {
-	if r.bounce(t, reason, now) {
-		return
+	switch {
+	case r.c.cfg.OnReject != nil && reason != admission.ShuttingDown:
+		r.rejects = append(r.rejects, Bounce{Task: t, Reason: reason})
+	case reason == admission.ShardDown:
+		r.lose(t, now)
+	default:
+		r.shed(t, reason, now)
 	}
-	r.shed(t, reason, now)
 }
 
-// bounce offers one locally-unservable task to the federation router via
-// Config.OnReject. True means the router took ownership: the task is
-// counted Bounced — a terminal bucket for this domain — and forgotten
-// here. Host goroutine only; the callback runs with no cluster locks held.
-func (r *runState) bounce(t *task.Task, reason admission.Reason, now simtime.Instant) bool {
-	cb := r.c.cfg.OnReject
-	if cb == nil || reason == admission.ShuttingDown {
-		return false
+// offerRejects hands the pass's collected rejects to Config.OnReject in one
+// call, then accounts each in order: a task the router took is counted
+// Bounced — a terminal bucket for this domain — and forgotten here; one it
+// declined is shed, or lost when no local worker survives. Host goroutine
+// only; the callback runs with no cluster locks held.
+func (r *runState) offerRejects(now simtime.Instant) {
+	if len(r.rejects) == 0 {
+		return
 	}
-	if !cb(t, reason, now) {
-		return false
+	r.c.cfg.OnReject(r.rejects, now)
+	for i := range r.rejects {
+		b := &r.rejects[i]
+		switch {
+		case b.Taken:
+			r.mu.Lock()
+			r.res.Bounced++
+			r.record(metrics.Completion{Task: b.Task.ID, Proc: -1})
+			r.mu.Unlock()
+			r.o.Bounce(b.Task.ID, string(b.Reason), now)
+		case b.Reason == admission.ShardDown:
+			r.lose(b.Task, now)
+		default:
+			r.shed(b.Task, b.Reason, now)
+		}
+		*b = Bounce{}
 	}
-	r.mu.Lock()
-	r.res.Bounced++
-	r.record(metrics.Completion{Task: t.ID, Proc: -1})
-	r.mu.Unlock()
-	r.o.Bounce(t.ID, string(reason), now)
-	return true
+	r.rejects = r.rejects[:0]
 }
 
 // lose accounts one task dropped because no local worker survives and the
@@ -1036,11 +1056,7 @@ func (r *runState) handleFailure(f Failure) {
 	} else if !f.Fatal {
 		r.o.WorkerDown(f.Worker, false, f.Err, f.At)
 	}
-	for id, fl := range r.inflight {
-		if fl.worker != f.Worker {
-			continue
-		}
-		delete(r.inflight, id)
+	for _, fl := range r.flights.takeWorker(f.Worker) {
 		if fl.t.Missed(now) {
 			// Too late to restart anywhere: the failure cost this task.
 			r.res.LostToFailure++
@@ -1052,9 +1068,9 @@ func (r *runState) handleFailure(f Failure) {
 			reclaimed = append(reclaimed, fl.t)
 		}
 	}
-	r.o.Inflight(len(r.inflight))
+	r.o.Inflight(r.flights.len())
 	r.mu.Unlock()
-	// Map iteration order is random; keep the re-fed batch deterministic.
+	// Re-feed in deadline order, as the batch would hold them.
 	// Reclaimed tasks pass back through the admission gate: the queue cap
 	// still binds, and a task that became hopeless while in flight is shed
 	// now rather than after burning another phase's quantum. They are not
@@ -1077,18 +1093,10 @@ func (r *runState) handleFailure(f Failure) {
 // the machine.
 func (r *runState) checkStragglers(now simtime.Instant) {
 	grace := r.live.StragglerGrace
-	var overdue []int
 	r.mu.Lock()
-	seen := make(map[int]bool)
-	for _, fl := range r.inflight {
-		if r.alive[fl.worker] && !seen[fl.worker] && now.After(fl.due.Add(grace)) {
-			seen[fl.worker] = true
-			overdue = append(overdue, fl.worker)
-		}
-	}
+	r.overdue = r.flights.overdue(now, grace, r.alive, r.overdue[:0])
 	r.mu.Unlock()
-	sort.Ints(overdue)
-	for _, k := range overdue {
+	for _, k := range r.overdue {
 		r.o.StragglerReclaim(k, now)
 		r.strikes[k]++
 		r.handleFailure(Failure{
@@ -1117,8 +1125,8 @@ func (r *runState) nextEvent(now simtime.Instant) simtime.Instant {
 		}
 	}
 	r.mu.Lock()
-	for _, fl := range r.inflight {
-		event = event.Min(fl.due.Add(r.live.StragglerGrace + 1))
+	if due, ok := r.flights.minDue(); ok {
+		event = event.Min(due.Add(r.live.StragglerGrace + 1))
 	}
 	r.mu.Unlock()
 	return event
@@ -1230,7 +1238,7 @@ func (r *runState) activeWorkers() []int {
 func (r *runState) inflightCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.inflight)
+	return r.flights.len()
 }
 
 func (c *Cluster) makeBackend(clock *Clock, inj *faultinject.Injector) (Backend, error) {

@@ -48,6 +48,26 @@ func (t *Task) ActualProc() time.Duration {
 	return t.Proc
 }
 
+// Validate checks the record invariants every ingress enforces — a task
+// file (workload.LoadTasks) and a shard's Submit frame (wire.DecodeSubmit)
+// alike: a positive worst-case processing time, an actual time within
+// [0, Proc], a non-negative arrival and a deadline no earlier than the
+// arrival. The error names the offending field. Affinity is not checked:
+// localizing a task to a shard may legitimately empty it.
+func (t *Task) Validate() error {
+	switch {
+	case t.Proc <= 0:
+		return fmt.Errorf("task %d: Proc %d: non-positive processing time", t.ID, t.Proc)
+	case t.Actual < 0 || t.Actual > t.Proc:
+		return fmt.Errorf("task %d: Actual %d outside [0, Proc %d]", t.ID, t.Actual, t.Proc)
+	case t.Arrival < 0:
+		return fmt.Errorf("task %d: Arrival %d: negative arrival", t.ID, t.Arrival)
+	case t.Deadline < t.Arrival:
+		return fmt.Errorf("task %d: Deadline %d precedes arrival %d", t.ID, t.Deadline, t.Arrival)
+	}
+	return nil
+}
+
 // Slack returns the maximum time the task's execution start can be delayed
 // past now without missing its deadline, ignoring communication costs:
 // d_i - now - p_i. It may be negative.

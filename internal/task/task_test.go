@@ -1,6 +1,7 @@
 package task
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -187,5 +188,38 @@ func TestSortLLF(t *testing.T) {
 	batch.SortLLF()
 	if batch.Tasks()[0].ID != 2 {
 		t.Error("Batch.SortLLF did not apply")
+	}
+}
+
+// TestValidate covers each rule task.Validate enforces at every ingress,
+// and that its error names the offending field.
+func TestValidate(t *testing.T) {
+	valid := Task{ID: 3, Arrival: 10, Proc: 100, Actual: 100, Deadline: 110}
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("valid task rejected: %v", err)
+	}
+	edges := valid
+	edges.Actual, edges.Deadline, edges.Arrival = 0, 0, 0 // zero Actual, deadline == arrival, empty affinity
+	if err := edges.Validate(); err != nil {
+		t.Fatalf("valid edge task rejected: %v", err)
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*Task)
+		field  string
+	}{
+		{"zero proc", func(tt *Task) { tt.Proc = 0 }, "Proc"},
+		{"negative proc", func(tt *Task) { tt.Proc = -5 }, "Proc"},
+		{"negative actual", func(tt *Task) { tt.Actual = -1 }, "Actual"},
+		{"actual beyond proc", func(tt *Task) { tt.Actual = tt.Proc + 1 }, "Actual"},
+		{"negative arrival", func(tt *Task) { tt.Arrival = -1 }, "Arrival"},
+		{"deadline before arrival", func(tt *Task) { tt.Deadline = tt.Arrival - 1 }, "Deadline"},
+	} {
+		tt := valid
+		c.mutate(&tt)
+		err := tt.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %v does not name %s", c.name, err, c.field)
+		}
 	}
 }

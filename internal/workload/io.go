@@ -56,18 +56,6 @@ func LoadTasks(r io.Reader) ([]*task.Task, error) {
 	}
 	tasks := make([]*task.Task, len(in))
 	for i, tj := range in {
-		if tj.Proc <= 0 {
-			return nil, fmt.Errorf("workload: task %d has non-positive processing time", tj.ID)
-		}
-		if tj.Actual < 0 || tj.Actual > tj.Proc {
-			return nil, fmt.Errorf("workload: task %d actual time outside (0, WCET]", tj.ID)
-		}
-		if tj.Arrival < 0 {
-			return nil, fmt.Errorf("workload: task %d has negative arrival", tj.ID)
-		}
-		if tj.Deadline < tj.Arrival {
-			return nil, fmt.Errorf("workload: task %d deadline precedes arrival", tj.ID)
-		}
 		if len(tj.Affinity) == 0 {
 			return nil, fmt.Errorf("workload: task %d has no affinity", tj.ID)
 		}
@@ -78,7 +66,7 @@ func LoadTasks(r io.Reader) ([]*task.Task, error) {
 			}
 			set = set.Add(p)
 		}
-		tasks[i] = &task.Task{
+		t := &task.Task{
 			ID:       task.ID(tj.ID),
 			Arrival:  simtime.Instant(tj.Arrival),
 			Proc:     time.Duration(tj.Proc),
@@ -87,6 +75,10 @@ func LoadTasks(r io.Reader) ([]*task.Task, error) {
 			Affinity: set,
 			Payload:  tj.Payload,
 		}
+		if err := t.Validate(); err != nil {
+			return nil, fmt.Errorf("workload: %w", err)
+		}
+		tasks[i] = t
 	}
 	return tasks, nil
 }
